@@ -400,13 +400,48 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
 
 # --- fast Monte Carlo oracle -------------------------------------------------
 
+ORACLE_HORIZON_DAYS = 60.0  # the follow-up every oracle sampler assumes
+
+
+def _check_oracle_fields(cfg: ScenarioConfig) -> None:
+    """Raise ``ValueError`` naming the first field :func:`mc_oracle` would
+    otherwise ignore: the oracles anchor on the true primary, test every
+    participant from a per-person random phase with no delay over a 60-day
+    horizon, and count every contact in the denominator."""
+    policy, design = cfg.policy, cfg.design
+    unsupported = [
+        ("index_rule", cfg.index_rule, cfg.index_rule != "true_primary"),
+        ("design.coprimary_exclusion_days", design.coprimary_exclusion_days,
+         design.coprimary_exclusion_days is not None),
+        ("design.require_contact_tested", design.require_contact_tested,
+         design.require_contact_tested),
+        ("design.anchor", design.anchor.value,
+         design.anchor is not WindowAnchor.TEST_TIME),
+        ("policy.delay_days", policy.delay_days, policy.delay_days != 0.0),
+        ("policy.participation", policy.participation, policy.participation < 1.0),
+        ("policy.shared_phase", policy.shared_phase, policy.shared_phase),
+        ("policy.fixed_phase", policy.fixed_phase, policy.fixed_phase is not None),
+        ("policy.horizon_days", policy.horizon_days,
+         policy.horizon_days != ORACLE_HORIZON_DAYS),
+    ]
+    if policy.kind is PolicyKind.SCHEDULED:
+        lo, hi = design.attribution_window
+        unsupported.append(("design.attribution_window", design.attribution_window,
+                            lo > -policy.horizon_days or hi < policy.horizon_days))
+    for name, value, rejected in unsupported:
+        if rejected:
+            raise ValueError(f"fast oracle does not model {name} = {value!r}; "
+                             "use run_scenario for this config")
+
+
 def mc_oracle(cfg: ScenarioConfig, n_reps: int, seed: int,
               rng_key: tuple[int, ...] = ()) -> McRatio:
     """Vectorized simulate-observe-infer oracle for one scenario.
 
     Runs the reference-anchored cohort pipeline matching the scenario's
     policy and transmission mode. Degenerate arms raise with a message
-    rather than returning NaN.
+    rather than returning NaN. A config field the oracle does not model
+    raises ``ValueError`` naming the field, rather than being ignored.
     """
     if n_reps < 10_000:
         raise ValueError(f"n_reps must be >= 10000 for a usable oracle, "
@@ -419,6 +454,7 @@ def mc_oracle(cfg: ScenarioConfig, n_reps: int, seed: int,
         raise ValueError("fast oracle covers within-unit primary transmission "
                          "only; use run_scenario for community or "
                          "contact-to-contact scenarios")
+    _check_oracle_fields(cfg)
     if (cfg.policy.kind is PolicyKind.SCHEDULED
             and mode in (TransmissionMode.PER_DAY_HAZARD,
                          TransmissionMode.PER_DAY_HAZARD_EXACT)):

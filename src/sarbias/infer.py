@@ -142,29 +142,25 @@ def identify_index(obs: ObservedUnit) -> Optional[int]:
 
     Returns ``None`` when the unit has no positive test at all.
     """
-    best: Optional[tuple[float, int]] = None
-    for person in obs.persons:
-        t = obs.first_positive_time(person.id)
-        if t is None:
-            continue
-        cand = (t, person.id)
-        if best is None or cand < best:
-            best = cand
-    return best[1] if best is not None else None
+    index_id, index_time = None, None
+    for pid, t in enumerate(obs.first_positive):
+        if t is not None and (index_time is None or t < index_time):
+            index_id, index_time = pid, t
+    return index_id
 
 
 def _coprimary_excluded(obs: ObservedUnit, within_days: float) -> bool:
-    dates = sorted(math.floor(t) for t in
-                   (obs.first_positive_time(p.id) for p in obs.persons)
-                   if t is not None)
+    dates = sorted(math.floor(t) for t in obs.first_positive if t is not None)
     return any(b - a <= within_days for a, b in zip(dates, dates[1:]))
 
 
-def _anchor_time(obs: ObservedUnit, person_id: int,
-                 anchor: WindowAnchor) -> Optional[float]:
-    if anchor is WindowAnchor.ONSET_TIME and person_id in obs.reported_onsets:
-        return obs.reported_onsets[person_id]
-    return obs.first_positive_time(person_id)
+def _anchor_times(obs: ObservedUnit,
+                  anchor: WindowAnchor) -> list[Optional[float]]:
+    """Per-person anchor time, ``None`` where the person has none."""
+    if anchor is WindowAnchor.ONSET_TIME and obs.reported_onsets:
+        onsets = obs.reported_onsets
+        return [onsets.get(pid, t) for pid, t in enumerate(obs.first_positive)]
+    return obs.first_positive
 
 
 def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
@@ -183,7 +179,7 @@ def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
     """
     if index_id is None:
         index_id = identify_index(obs)
-    elif obs.first_positive_time(index_id) is None:
+    elif obs.first_positive[index_id] is None:
         index_id = None
     if index_id is None:
         return UnitAnalysis(index_id=None, index_vaccinated=None,
@@ -196,26 +192,23 @@ def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
                             n_at_risk_contacts=0, n_attributed_transmissions=0,
                             excluded=True, exclusion_reason="coprimary")
 
-    anchor = _anchor_time(obs, index_id, design.anchor)
+    events = _anchor_times(obs, design.anchor)
+    anchor = events[index_id]
     lo, hi = design.attribution_window
-    tested = obs.tested_ids()
-    index_vaccinated = obs.persons[index_id].vaccinated
+    tested = obs.tested
+    require_tested = design.require_contact_tested
 
     n_at_risk = 0
     n_attributed = 0
-    for person in obs.persons:
-        if person.id == index_id:
-            continue
-        if design.require_contact_tested and person.id not in tested:
+    for pid, event in enumerate(events):
+        if pid == index_id or (require_tested and not tested[pid]):
             continue
         n_at_risk += 1
-        event = _anchor_time(obs, person.id, design.anchor)
-        if event is None:  # never tested positive
-            continue
-        if lo <= event - anchor <= hi:
+        if event is not None and lo <= event - anchor <= hi:
             n_attributed += 1
 
-    return UnitAnalysis(index_id=index_id, index_vaccinated=index_vaccinated,
+    return UnitAnalysis(index_id=index_id,
+                        index_vaccinated=obs.persons[index_id].vaccinated,
                         n_at_risk_contacts=n_at_risk,
                         n_attributed_transmissions=n_attributed,
                         excluded=False)

@@ -1,4 +1,4 @@
-"""Degrade unit truth into the test records a retrospective database holds.
+"""Degrade unit truth into what a retrospective database holds.
 
 The observed layer is deliberately poorer than the truth: a database row
 is a person, a test time, and a positive/negative result. Who infected
@@ -12,19 +12,25 @@ Tests report the truth at the moment of testing: a test at time ``t`` is
 positive exactly when ``t`` falls inside the person's test-positivity
 window ``[acquisition, acquisition + duration)``. Assay error is out of
 scope.
+
+:class:`ObservedUnit` holds a per-person summary of those rows, which is
+all inference reads: the first positive test time, whether the person was
+tested at all, and the reported symptom onset. :func:`apply_policy`
+computes the summary without generating rows; ``ObservedUnit.tests``
+lists the rows themselves, built on first access, for inspection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .params import ParameterError
-from .simcore import UnitTruth
+from .simcore import Infection, UnitTruth
 
 
 class PolicyKind(Enum):
@@ -123,90 +129,207 @@ class TestRecord:
     positive: bool
 
 
-@dataclass
 class ObservedUnit:
-    """What the retrospective database sees of one unit.
+    """What the retrospective database sees of one unit, per person.
 
-    ``reported_onsets`` maps person id to the symptom-onset date reported
-    with a symptom-prompted test; scheduled tests report no onset.
+    Inference reads three facts per person, indexed by person id:
+    ``first_positive`` (time of the first positive test, or ``None``),
+    ``tested`` (whether the person has any test record), and
+    ``reported_onsets``, which maps person id to the symptom-onset date
+    reported with a symptom-prompted test (scheduled tests report no onset).
+
+    ``tests`` lists the underlying records sorted by time, then person. It
+    is a debug view: units from :func:`apply_policy` build it on first
+    access only. A unit built by hand from records derives the summary
+    from them.
     """
 
-    persons: list  # list[Person], shared with the source truth
-    tests: list[TestRecord]
-    reported_onsets: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("persons", "first_positive", "tested", "reported_onsets",
+                 "_tests", "_build_tests")
+
+    def __init__(self, persons: list, tests: list[TestRecord],
+                 reported_onsets: Optional[dict[int, float]] = None) -> None:
+        first_positive: list[Optional[float]] = [None] * len(persons)
+        tested = [False] * len(persons)
+        for record in tests:
+            pid = record.person_id
+            tested[pid] = True
+            first = first_positive[pid]
+            if record.positive and (first is None or record.test_time < first):
+                first_positive[pid] = record.test_time
+        self.persons = persons  # list[Person], shared with the source truth
+        self.first_positive = first_positive
+        self.tested = tested
+        self.reported_onsets = {} if reported_onsets is None else reported_onsets
+        self._tests: Optional[list[TestRecord]] = tests
+        self._build_tests: Optional[Callable[[], list[TestRecord]]] = None
+
+    @classmethod
+    def _from_summary(cls, persons: list, first_positive: list[Optional[float]],
+                      tested: list[bool], reported_onsets: dict[int, float],
+                      build_tests: Callable[[], list[TestRecord]]) -> "ObservedUnit":
+        obs = cls.__new__(cls)
+        obs.persons = persons
+        obs.first_positive = first_positive
+        obs.tested = tested
+        obs.reported_onsets = reported_onsets
+        obs._tests = None
+        obs._build_tests = build_tests
+        return obs
+
+    @property
+    def tests(self) -> list[TestRecord]:
+        if self._tests is None:
+            self._tests = self._build_tests()
+            self._build_tests = None
+        return self._tests
 
     def tests_of(self, person_id: int) -> list[TestRecord]:
         return [t for t in self.tests if t.person_id == person_id]
 
     def tested_ids(self) -> set[int]:
-        return {t.person_id for t in self.tests}
+        return {pid for pid, tested in enumerate(self.tested) if tested}
 
     def first_positive_time(self, person_id: int) -> Optional[float]:
-        times = [t.test_time for t in self.tests
-                 if t.person_id == person_id and t.positive]
-        return min(times) if times else None
+        return self.first_positive[person_id]
 
 
-def _positive_at(truth: UnitTruth, person_id: int, t: float) -> bool:
-    inf = truth.infection_of(person_id)
+_SYMPTOM_KINDS = (PolicyKind.SYMPTOM_PROMPTED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
+_SCHEDULED_KINDS = (PolicyKind.SCHEDULED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
+
+
+def _positive_at(inf: Optional[Infection], t: float) -> bool:
     if inf is None:
         return False
     return inf.acquisition_time <= t < inf.acquisition_time + inf.duration_days
 
 
+def _symptom_tests(truth: UnitTruth, policy: TestingPolicy,
+                   participates: list[bool]) -> Iterator[tuple[Infection, float]]:
+    """(infection, test time) of each symptom-prompted test."""
+    if policy.kind not in _SYMPTOM_KINDS:
+        return
+    for inf in truth.infections:
+        if not inf.symptomatic or not participates[inf.person_id]:
+            continue
+        t = inf.symptom_onset_time + policy.delay_days
+        if t <= policy.horizon_days:
+            yield inf, t
+
+
+def _n_scheduled(policy: TestingPolicy, phase: float) -> int:
+    """Number of slots ``phase + j * k`` up to the horizon (may be <= 0)."""
+    return int(math.floor((policy.horizon_days - phase)
+                          / policy.interval_days)) + 1
+
+
+def _first_slot_at_or_after(acquisition: float, phase: float, k: float) -> int:
+    """Smallest ``j >= 0`` with ``acquisition <= phase + j * k``.
+
+    The closed form can be off by one where rounding puts the acquisition
+    on a slot edge; stepping until ``phase + (j - 1) * k < acquisition <=
+    phase + j * k`` holds, with the slot times computed exactly as the
+    record listing computes them, makes the answer agree with it.
+    """
+    j = max(0, math.ceil((acquisition - phase) / k))
+    while j > 0 and phase + (j - 1) * k >= acquisition:
+        j -= 1
+    while phase + j * k < acquisition:
+        j += 1
+    return j
+
+
+def _draw_phases(policy: TestingPolicy, participates: list[bool],
+                 rng: np.random.Generator) -> list[Optional[float]]:
+    """Schedule phase per person, ``None`` for non-participants."""
+    if policy.fixed_phase is not None:
+        return [policy.fixed_phase if p else None for p in participates]
+    k = policy.interval_days
+    if policy.shared_phase:
+        shared = float(rng.uniform(0.0, k))
+        return [shared if p else None for p in participates]
+    # One draw per participant in person order; an array draw yields the
+    # same values as that many scalar draws.
+    drawn = iter(rng.uniform(0.0, k, sum(participates)).tolist())
+    return [next(drawn) if p else None for p in participates]
+
+
+def _records(truth: UnitTruth, policy: TestingPolicy, participates: list[bool],
+             phases: Optional[list[Optional[float]]]) -> list[TestRecord]:
+    """Every test record the policy produced, sorted by (time, person)."""
+    tests = [TestRecord(person_id=inf.person_id, test_time=t,
+                        positive=_positive_at(inf, t))
+             for inf, t in _symptom_tests(truth, policy, participates)]
+    if phases is not None:
+        infections = {inf.person_id: inf for inf in truth.infections}
+        k = policy.interval_days
+        for pid, phase in enumerate(phases):
+            if phase is None:
+                continue
+            inf = infections.get(pid)
+            for j in range(max(_n_scheduled(policy, phase), 0)):
+                t = phase + j * k
+                tests.append(TestRecord(person_id=pid, test_time=t,
+                                        positive=_positive_at(inf, t)))
+    tests.sort(key=lambda r: (r.test_time, r.person_id))
+    return tests
+
+
 def apply_policy(truth: UnitTruth, policy: TestingPolicy,
                  rng: np.random.Generator) -> ObservedUnit:
-    """Generate the test records the policy would produce for one unit.
+    """What the policy lets the database see of one unit.
 
     Participation is drawn per person before any test is generated; a
     non-participant produces no records regardless of infection or
     symptoms. Symptom-prompted tests occur once per symptomatic infected
     person at onset plus delay. Scheduled tests occur at ``phase + j * k``
     for every participant, infected or not, up to the horizon, with the
-    phase uniform on ``[0, k)``.
+    phase uniform on ``[0, k)``; the first positive one is the first slot
+    at or after acquisition, when that slot falls inside the positivity
+    window and the horizon.
     """
-    tests: list[TestRecord] = []
-    onsets: dict[int, float] = {}
+    persons = truth.persons
+    n = len(persons)
     if policy.kind is PolicyKind.NO_TESTING:
-        return ObservedUnit(persons=truth.persons, tests=tests)
+        return ObservedUnit(persons=persons, tests=[])
 
-    participates = {
-        p.id: policy.participation >= 1.0 or bool(rng.random() < policy.participation)
-        for p in truth.persons
-    }
+    if policy.participation >= 1.0:
+        participates = [True] * n
+    else:
+        participates = (rng.random(n) < policy.participation).tolist()
 
-    symptomatic_kinds = (PolicyKind.SYMPTOM_PROMPTED,
-                         PolicyKind.SYMPTOM_PLUS_SCHEDULED)
-    if policy.kind in symptomatic_kinds:
-        for inf in truth.infections:
-            if not inf.symptomatic or not participates[inf.person_id]:
-                continue
-            t = inf.symptom_onset_time + policy.delay_days
-            if t > policy.horizon_days:
-                continue
-            tests.append(TestRecord(person_id=inf.person_id, test_time=t,
-                                    positive=_positive_at(truth, inf.person_id, t)))
-            onsets[inf.person_id] = inf.symptom_onset_time
+    first_positive: list[Optional[float]] = [None] * n
+    tested = [False] * n
+    onsets: dict[int, float] = {}
+    for inf, t in _symptom_tests(truth, policy, participates):
+        pid = inf.person_id
+        tested[pid] = True
+        onsets[pid] = inf.symptom_onset_time
+        if _positive_at(inf, t):
+            first_positive[pid] = t
 
-    scheduled_kinds = (PolicyKind.SCHEDULED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
-    if policy.kind in scheduled_kinds:
+    phases = None
+    if policy.kind in _SCHEDULED_KINDS:
         k = policy.interval_days
-        shared = (float(rng.uniform(0.0, k))
-                  if policy.shared_phase and policy.fixed_phase is None else None)
-        for person in truth.persons:
-            if not participates[person.id]:
+        phases = _draw_phases(policy, participates, rng)
+        n_slots = [0 if phase is None else _n_scheduled(policy, phase)
+                   for phase in phases]
+        for pid, n_tests in enumerate(n_slots):
+            if n_tests > 0:
+                tested[pid] = True
+        for inf in truth.infections:
+            pid = inf.person_id
+            if n_slots[pid] <= 0:
                 continue
-            if policy.fixed_phase is not None:
-                phase = policy.fixed_phase
-            elif shared is not None:
-                phase = shared
-            else:
-                phase = float(rng.uniform(0.0, k))
-            n_tests = int(math.floor((policy.horizon_days - phase) / k)) + 1
-            for j in range(max(n_tests, 0)):
-                t = phase + j * k
-                tests.append(TestRecord(person_id=person.id, test_time=t,
-                                        positive=_positive_at(truth, person.id, t)))
+            phase = phases[pid]
+            acquisition = inf.acquisition_time
+            j = _first_slot_at_or_after(acquisition, phase, k)
+            t = phase + j * k
+            first = first_positive[pid]
+            if (j < n_slots[pid] and t < acquisition + inf.duration_days
+                    and (first is None or t < first)):
+                first_positive[pid] = t
 
-    tests.sort(key=lambda r: (r.test_time, r.person_id))
-    return ObservedUnit(persons=truth.persons, tests=tests, reported_onsets=onsets)
+    return ObservedUnit._from_summary(
+        persons, first_positive, tested, onsets,
+        lambda: _records(truth, policy, participates, phases))

@@ -4,10 +4,10 @@ from dataclasses import replace
 import pytest
 
 from sarbias import ScenarioConfig, parse_config, run_scenario
-from sarbias.harness import (ConfigError, apply_axis, fmt12, mc_oracle,
-                             rows_to_csv, sweep_figure_1a, sweep_figure_1b_a1,
-                             write_csv)
-from sarbias.infer import WindowAnchor
+from sarbias.harness import (CSV_COLUMNS, ConfigError, apply_axis, fmt12,
+                             mc_oracle, rows_to_csv, sweep_figure_1a,
+                             sweep_figure_1b_a1, write_csv)
+from sarbias.infer import StudyDesignFilter, WindowAnchor
 from sarbias.observe import PolicyKind
 from sarbias.simcore import TransmissionMode
 
@@ -26,6 +26,16 @@ symptom.rho_symptom = 0.5
 policy.kind = symptom_prompted
 filter.window_lo = -60
 filter.window_hi = 60
+"""
+
+
+SCHEDULED_CONFIG = """
+scenario.seed = 7
+scenario.index_rule = true_primary
+unit.size = 2
+unit.transmission_mode = per_day_hazard
+policy.kind = scheduled
+policy.interval_days = 10
 """
 
 
@@ -171,6 +181,33 @@ class TestRunScenario:
         assert row.target_ve == pytest.approx(0.6, abs=1e-12)
 
 
+class TestRngStreamPinned:
+    """Pinned CSV bytes of two small scenarios. Any change to how the
+    pipeline consumes its random streams changes them, so such a change
+    must update these bytes on purpose."""
+
+    HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+    def test_scheduled_harris(self):
+        text = ("scenario.id = scheduled_harris\nscenario.seed = 11\n"
+                "scenario.units_per_arm = 500\nunit.size = 4\n"
+                "unit.transmission_mode = per_day_hazard\n"
+                "policy.kind = scheduled\npolicy.interval_days = 7\n"
+                "policy.participation = 0.8\nfilter.preset = harris\n")
+        assert rows_to_csv(run_scenario(parse_config(text))) == self.HEADER + (
+            "scheduled_harris,,nan,7,0.5,0.5,0.6,0.54375,0.487202835865,"
+            "0.0986533937599,500,216,29,1\n")
+
+    def test_symptom_lyngse(self):
+        text = ("scenario.id = symptom_lyngse\nscenario.seed = 12\n"
+                "scenario.units_per_arm = 500\nunit.size = 8\n"
+                "unit.transmission_mode = per_unit_bernoulli\n"
+                "policy.kind = symptom_prompted\nfilter.preset = lyngse\n")
+        assert rows_to_csv(run_scenario(parse_config(text))) == self.HEADER + (
+            "symptom_lyngse,,nan,nan,0.5,0.5,0.56,0.4,0.0312925170068,"
+            "0.314401685123,500,511,9,1\n")
+
+
 class TestMcOracle:
     def test_requires_enough_reps(self):
         cfg = ScenarioConfig(seed=1)
@@ -183,10 +220,7 @@ class TestMcOracle:
         assert abs(mc.ve - 0.4) <= 3 * mc.se
 
     def test_scheduled_dispatch(self):
-        text = ("scenario.seed = 7\nunit.size = 2\n"
-                "unit.transmission_mode = per_day_hazard\n"
-                "policy.kind = scheduled\npolicy.interval_days = 10\n")
-        cfg = parse_config(text)
+        cfg = parse_config(SCHEDULED_CONFIG)
         mc = mc_oracle(cfg, 200_000, seed=6)
         from sarbias import infrequent_observed_mu
         assert abs(mc.mu_ratio - infrequent_observed_mu(10.0, cfg.unit.duration)) \
@@ -202,6 +236,44 @@ class TestMcOracle:
             cfg.unit, transmission_mode=TransmissionMode.PER_DAY_HAZARD))
         with pytest.raises(ValueError, match="fast oracle supports"):
             mc_oracle(bad, 20_000, seed=1)
+
+    def test_contact_tracing_design_rejected(self):
+        # The oracle has no tested-contacts denominator; it used to return
+        # a confident VE far from the object pipeline's for this design.
+        cfg = replace(parse_config(GOOD_CONFIG), design=StudyDesignFilter.eyre())
+        with pytest.raises(ValueError, match="require_contact_tested"):
+            mc_oracle(cfg, 20_000, seed=1)
+
+    @pytest.mark.parametrize("field_name, change", [
+        ("index_rule", lambda c: replace(c, index_rule="earliest_positive")),
+        ("design.coprimary_exclusion_days",
+         lambda c: replace(c, design=replace(c.design,
+                                             coprimary_exclusion_days=2.0))),
+        ("design.require_contact_tested",
+         lambda c: replace(c, design=replace(c.design,
+                                             require_contact_tested=True))),
+        ("design.anchor",
+         lambda c: replace(c, design=replace(c.design,
+                                             anchor=WindowAnchor.ONSET_TIME))),
+        ("policy.delay_days",
+         lambda c: replace(c, policy=replace(c.policy, delay_days=1.0))),
+        ("policy.participation",
+         lambda c: replace(c, policy=replace(c.policy, participation=0.9))),
+        ("policy.shared_phase",
+         lambda c: replace(c, policy=replace(c.policy, shared_phase=True))),
+        ("policy.fixed_phase",
+         lambda c: replace(c, policy=replace(c.policy, fixed_phase=1.0))),
+        ("policy.horizon_days",
+         lambda c: replace(c, policy=replace(c.policy, horizon_days=30.0))),
+        ("design.attribution_window",
+         lambda c: replace(c, design=StudyDesignFilter(
+             attribution_window=(2.0, 14.0)))),
+    ])
+    def test_ignored_scheduled_fields_rejected(self, field_name, change):
+        cfg = parse_config(SCHEDULED_CONFIG)
+        mc_oracle(cfg, 10_000, seed=1)  # the unchanged config is modelled
+        with pytest.raises(ValueError, match=f"does not model {field_name} ="):
+            mc_oracle(change(cfg), 10_000, seed=1)
 
 
 class TestFigureSweeps:

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sarbias import (Infection, Person, SourceKind, SymptomModelParams,
                      TestingPolicy, UnitConfig, apply_policy, sampling_fraction,
                      simulate_unit)
-from sarbias.observe import PolicyKind
+from sarbias.observe import ObservedUnit, PolicyKind
 from sarbias.simcore import UnitTruth
 
 
@@ -190,3 +193,123 @@ class TestScheduledTesting:
         assert 0 in obs.reported_onsets
         assert any(t.test_time == 6.0 for t in obs.tests_of(0))
         assert len(obs.tests_of(1)) >= 4  # scheduled grid for the contact
+
+
+def assert_summary_matches_records(obs):
+    """The summary equals the one a hand-built unit derives from records."""
+    rebuilt = ObservedUnit(obs.persons, tests=obs.tests,
+                           reported_onsets=obs.reported_onsets)
+    assert obs.first_positive == rebuilt.first_positive
+    assert obs.tested == rebuilt.tested
+
+
+@st.composite
+def unit_truths(draw, acquisition=st.floats(0.0, 40.0)):
+    n_persons = draw(st.integers(2, 6))
+    infections = []
+    for pid in range(n_persons):
+        if pid > 0 and not draw(st.booleans()):
+            continue
+        acq = 0.0 if pid == 0 else draw(acquisition)
+        symptomatic = draw(st.booleans())
+        onset = acq + draw(st.floats(0.0, 15.0)) if symptomatic else None
+        infections.append(Infection(
+            person_id=pid, acquisition_time=acq,
+            source_kind=SourceKind.PRIMARY if pid == 0 else SourceKind.CONTACT,
+            source_id=None if pid == 0 else 0, symptomatic=symptomatic,
+            symptom_onset_time=onset,
+            duration_days=draw(st.floats(0.5, 25.0))))
+    return make_unit(infections, n_persons=n_persons)
+
+
+@st.composite
+def policies(draw):
+    kind = draw(st.sampled_from(list(PolicyKind)))
+    interval = draw(st.floats(0.5, 15.0))
+    fixed = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+    return TestingPolicy(
+        kind=kind, delay_days=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        interval_days=interval,
+        participation=draw(st.sampled_from([1.0, 0.6, 0.0])),
+        shared_phase=draw(st.booleans()),
+        fixed_phase=None if fixed is None else fixed * interval,
+        horizon_days=draw(st.sampled_from([60.0, 20.0, 4.0, 0.25])))
+
+
+class TestSummaryMatchesRecords:
+    """The per-person summary equals the one derived from the records."""
+
+    @given(truth=unit_truths(), policy=policies(), seed=st.integers(0, 2**32))
+    def test_random_units_and_policies(self, truth, policy, seed):
+        obs = apply_policy(truth, policy, np.random.default_rng(seed))
+        assert_summary_matches_records(obs)
+
+    @given(truth=unit_truths(acquisition=st.integers(0, 40)),
+           phase=st.sampled_from([0.0, 0.1, 0.2]),
+           interval=st.sampled_from([0.3, 0.7, 1.1, 7.0]),
+           nudge=st.sampled_from([-1, 0, 1]))
+    def test_acquisitions_on_slot_edges(self, truth, phase, interval, nudge):
+        # Move every contact acquisition onto a slot time, or one float ulp
+        # either side of it, where rounding decides the first slot.
+        def on_edge(inf):
+            if inf.person_id == 0:
+                return inf
+            t = phase + int(inf.acquisition_time) * interval
+            for _ in range(abs(nudge)):
+                t = math.nextafter(t, math.inf if nudge > 0 else -math.inf)
+            return replace(inf, acquisition_time=t)
+        truth = UnitTruth(persons=truth.persons,
+                          infections=[on_edge(inf) for inf in truth.infections])
+        policy = TestingPolicy.scheduled(interval, fixed_phase=phase)
+        obs = apply_policy(truth, policy, np.random.default_rng(0))
+        assert_summary_matches_records(obs)
+
+    # In the next two cases ceil((acquisition - phase) / k) rounds to the
+    # neighbouring slot; the first positive must still be the first slot
+    # at or after acquisition.
+    def test_acquisition_exactly_on_slot(self):
+        slot = 15 * 0.7
+        unit = make_unit([primary_infection(),
+                          secondary_infection(1, slot, duration=0.5)])
+        policy = TestingPolicy.scheduled(0.7, fixed_phase=0.0)
+        obs = apply_policy(unit, policy, np.random.default_rng(0))
+        assert obs.first_positive[1] == slot
+        assert_summary_matches_records(obs)
+
+    def test_acquisition_one_ulp_above_slot(self):
+        acq = math.nextafter(5 * 1.1, math.inf)
+        unit = make_unit([primary_infection(),
+                          secondary_infection(1, acq, duration=5.0)])
+        policy = TestingPolicy.scheduled(1.1, fixed_phase=0.0)
+        obs = apply_policy(unit, policy, np.random.default_rng(0))
+        assert obs.first_positive[1] == 6 * 1.1
+        assert_summary_matches_records(obs)
+
+    def test_slot_at_end_of_positivity_window_is_negative(self):
+        unit = make_unit([primary_infection(),
+                          secondary_infection(1, 1.0, duration=6.0)])
+        policy = TestingPolicy.scheduled(7.0, fixed_phase=0.0)
+        obs = apply_policy(unit, policy, np.random.default_rng(0))
+        assert obs.first_positive[1] is None
+        assert obs.tested[1]
+        assert_summary_matches_records(obs)
+
+    def test_phase_beyond_horizon_is_untested(self):
+        unit = make_unit([primary_infection()])
+        policy = TestingPolicy.scheduled(7.0, fixed_phase=5.0, horizon_days=3.0)
+        obs = apply_policy(unit, policy, np.random.default_rng(0))
+        assert obs.tested == [False] * 4
+        assert obs.first_positive == [None] * 4
+        assert obs.tests == []
+
+    def test_symptom_test_before_first_positive_slot(self):
+        unit = make_unit([primary_infection(duration=14.0, onset=2.0)],
+                         n_persons=2)
+        policy = TestingPolicy(kind=PolicyKind.SYMPTOM_PLUS_SCHEDULED,
+                               interval_days=7.0, delay_days=1.0,
+                               fixed_phase=6.0)
+        obs = apply_policy(unit, policy, np.random.default_rng(0))
+        assert obs.first_positive == [3.0, None]
+        assert obs.tested == [True, True]
+        assert obs.reported_onsets == {0: 2.0}
+        assert_summary_matches_records(obs)
