@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from . import estimands, harness, validation
 from .params import DurationModelParams, SymptomModelParams
@@ -25,7 +26,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--units", type=int, help="override units per arm")
     parser.add_argument("--out", metavar="PATH", help="override the output CSV path")
-    parser.add_argument("--threads", type=int, help="override the worker count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,18 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analytic", help="evaluate a closed form")
     p_an.add_argument("--form", choices=_FORMS, required=True)
-    p_an.add_argument("--lambda-symptom", type=float, default=0.2)
-    p_an.add_argument("--delta", type=float, default=0.5)
-    p_an.add_argument("--nu", type=float, default=0.6)
-    p_an.add_argument("--rho-symptom", type=float, default=0.5)
-    p_an.add_argument("--tau", type=float, default=0.3)
+    for f in fields(SymptomModelParams) + fields(DurationModelParams):
+        p_an.add_argument("--" + f.name.replace("_", "-"), type=float,
+                          default=f.default)
     p_an.add_argument("--target-ve", type=float, default=0.5)
     p_an.add_argument("--k", type=float, default=7.0)
-    p_an.add_argument("--rho0", type=float, default=14.0)
-    p_an.add_argument("--rho1", type=float, default=8.0)
-    p_an.add_argument("--c", type=float, default=7.0)
-    p_an.add_argument("--nu-daily", type=float, default=0.7)
-    p_an.add_argument("--tau0", type=float, default=0.01)
     p_an.add_argument("--rho-v", type=float, default=8.0)
     p_an.add_argument("--tau-v", type=float, default=0.01)
 
@@ -57,19 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="reproduce a figure sweep to CSV")
     p_sweep.add_argument("--figure", choices=("1a", "1b", "a1"), required=True)
     _add_common(p_sweep)
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the oracle rows")
 
     p_val = sub.add_parser("validate", help="oracle-vs-analytic suite")
     p_val.add_argument("--units", type=int, default=1_000_000)
     p_val.add_argument("--seed", type=int, default=1)
-    p_val.add_argument("--threads", type=int, default=1)
+    p_val.add_argument("--threads", type=int, default=1,
+                       help="worker threads for the oracle checks")
     return parser
 
 
 def _run_analytic(args: argparse.Namespace) -> int:
-    s = SymptomModelParams(lambda_symptom=args.lambda_symptom, delta=args.delta,
-                           nu=args.nu, rho_symptom=args.rho_symptom, tau=args.tau)
-    d = DurationModelParams(rho0=args.rho0, rho1=args.rho1, c=args.c,
-                            nu_daily=args.nu_daily, tau0=args.tau0)
+    s, d = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+            for cls in (SymptomModelParams, DurationModelParams))
     form = args.form
     if form == "symptom-target-mu":
         value = estimands.symptom_prompted_target_mu(s)
@@ -93,7 +87,6 @@ def _run_analytic(args: argparse.Namespace) -> int:
 
 def _apply_overrides(cfg: harness.ScenarioConfig,
                      args: argparse.Namespace) -> harness.ScenarioConfig:
-    from dataclasses import replace
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -101,8 +94,6 @@ def _apply_overrides(cfg: harness.ScenarioConfig,
         kwargs["units_per_arm"] = args.units
     if args.out is not None:
         kwargs["out_path"] = args.out
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
     return replace(cfg, **kwargs) if kwargs else cfg
 
 
@@ -130,7 +121,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     duration = None
     seed = args.seed if args.seed is not None else 0
     units = args.units if args.units is not None else 0
-    threads = args.threads if args.threads is not None else 1
     out = args.out
     if args.config:
         try:
@@ -143,41 +133,45 @@ def _run_sweep(args: argparse.Namespace) -> int:
             seed = cfg.seed
         if args.units is None:
             units = cfg.units_per_arm
-        if args.threads is None:
-            threads = cfg.threads
         if out is None:
             out = cfg.out_path
+    if units < 0:
+        raise ValueError(f"--units must be >= 0, got {units}")
     if not out:
         print("no output path: pass --out (or scenario.out in --config)",
               file=sys.stderr)
         return 2
     if args.figure == "1a":
         rows = harness.sweep_figure_1a(symptom_base=symptom, units_per_arm=units,
-                                       seed=seed, threads=threads)
+                                       seed=seed, threads=args.threads)
     else:
         rows = harness.sweep_figure_1b_a1(
             duration_base=duration, units_per_arm=units, seed=seed,
-            threads=threads, restrict_to_short_intervals=args.figure == "1b")
+            threads=args.threads, restrict_to_short_intervals=args.figure == "1b")
     harness.write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "analytic":
-        try:
-            return _run_analytic(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "simulate":
-        return _run_simulate(args)
-    if args.command == "sweep":
-        return _run_sweep(args)
+def _run_validate(args: argparse.Namespace) -> int:
+    if args.units < 1:
+        raise ValueError(f"--units must be >= 1, got {args.units}")
     ok = validation.main_validation(units_per_arm=args.units, seed=args.seed,
                                     threads=args.threads)
     return 0 if ok else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command == "simulate":
+        return _run_simulate(args)
+    run = {"analytic": _run_analytic, "sweep": _run_sweep,
+           "validate": _run_validate}[args.command]
+    try:
+        return run(args)
+    except ValueError as exc:  # bad flag values and degenerate oracle arms
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ text files with dotted section names, chosen over nested formats because
 they diff cleanly and pin the seed explicitly (wall-clock seeding is
 rejected so every output is reproducible byte for byte).
 
-Replication is deterministic and thread-count independent: every task
-(sweep row, or fixed-size chunk of units) draws from its own RNG stream
-spawned from ``(seed, task key)``, and results are reduced in task order.
+Replication is deterministic: every task (sweep row, or fixed-size chunk
+of units) draws from its own RNG stream spawned from ``(seed, task key)``,
+so a config and seed fix the output bytes. The oracle sweeps fan their rows
+out over an optional worker pool and reduce them in task order, so their
+bytes do not depend on the worker count either.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ import numpy as np
 from . import estimands
 from .infer import (PRESET_FILTERS, StudyDesignFilter, UnitAnalysis,
                     WindowAnchor, analyze_unit, estimate_ve_sar)
-from .mc import McRatio, mc_infrequent_observed, mc_symptom_prompted_ve
+from .mc import (ORACLE_HORIZON_DAYS, McRatio, mc_infrequent_observed,
+                 mc_symptom_prompted_ve)
 from .observe import PolicyKind, TestingPolicy, apply_policy
 from .params import DurationModelParams, SymptomModelParams
 from .simcore import EstimationError, TransmissionMode, UnitConfig, simulate_unit
 
-CHUNK_UNITS = 5000  # fixed chunking keeps results independent of thread count
+# Each (row, arm, chunk) of a scenario draws from its own stream, so this
+# chunk size is part of what fixes the output bytes for a seed.
+CHUNK_UNITS = 5000
 
 
 class ConfigError(ValueError):
@@ -70,13 +75,10 @@ class ScenarioConfig:
     sweep_axis: Optional[str] = None
     sweep_grid: tuple[float, ...] = ()
     out_path: Optional[str] = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.units_per_arm < 0:
             raise ConfigError(f"units_per_arm must be >= 0, got {self.units_per_arm}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.index_rule not in ("earliest_positive", "true_primary"):
             raise ConfigError(f"unknown index_rule {self.index_rule!r}")
         if self.sweep_axis is not None and not self.sweep_grid:
@@ -131,8 +133,8 @@ def _cast(key: str, raw: str, kind: str):
 
 _KEY_KINDS = {
     "scenario.id": "str", "scenario.seed": "int",
-    "scenario.units_per_arm": "int", "scenario.threads": "int",
-    "scenario.out": "str", "scenario.index_rule": "str",
+    "scenario.units_per_arm": "int", "scenario.out": "str",
+    "scenario.index_rule": "str",
     "unit.size": "int", "unit.p_primary_vaccinated": "float",
     "unit.contacts_vaccinated": "bool", "unit.incubation_mean_days": "float",
     "unit.incubation_log_sd": "float", "unit.community_daily_hazard": "float",
@@ -250,7 +252,6 @@ def parse_config(text: str) -> ScenarioConfig:
             sweep_axis=vals.get("sweep.axis"),
             sweep_grid=vals.get("sweep.grid", ()),
             out_path=vals.get("scenario.out"),
-            threads=vals.get("scenario.threads", 1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -338,9 +339,8 @@ def _chunk_sizes(total: int) -> list[int]:
             for start in range(0, total, CHUNK_UNITS)]
 
 
-def _run_chunk(args) -> list[UnitAnalysis]:
-    cfg, arm_vaccinated, row_index, arm_index, chunk_index, n = args
-    rng = spawn_rng(cfg.seed, row_index, arm_index, chunk_index)
+def _run_chunk(cfg: ScenarioConfig, arm_vaccinated: bool,
+               rng: np.random.Generator, n: int) -> list[UnitAnalysis]:
     unit_cfg = replace(cfg.unit,
                        p_primary_vaccinated=1.0 if arm_vaccinated else 0.0)
     analyses = []
@@ -356,8 +356,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     """Run one scenario (optionally swept) through the object pipeline.
 
     Deterministic in ``(config, seed)``: re-running writes byte-identical
-    CSV regardless of thread count. ``units_per_arm = 0`` produces no rows
-    (header-only CSV).
+    CSV. ``units_per_arm = 0`` produces no rows (header-only CSV).
     """
     if cfg.units_per_arm == 0:
         return []
@@ -365,12 +364,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for row_index, value in enumerate(grid):
         cfg_i = cfg if value is None else apply_axis(cfg, cfg.sweep_axis, value)
-        tasks = []
+        analyses: list[UnitAnalysis] = []
         for arm_index, arm in enumerate((True, False)):
             for chunk_index, n in enumerate(_chunk_sizes(cfg.units_per_arm)):
-                tasks.append((cfg_i, arm, row_index, arm_index, chunk_index, n))
-        chunks = _parallel_map(_run_chunk, tasks, cfg.threads)
-        analyses = [a for chunk in chunks for a in chunk]
+                rng = spawn_rng(cfg.seed, row_index, arm_index, chunk_index)
+                analyses.extend(_run_chunk(cfg_i, arm, rng, n))
         excluded = {}
         for a in analyses:
             if a.excluded:
@@ -399,9 +397,6 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
 
 
 # --- fast Monte Carlo oracle -------------------------------------------------
-
-ORACLE_HORIZON_DAYS = 60.0  # the follow-up every oracle sampler assumes
-
 
 def _check_oracle_fields(cfg: ScenarioConfig) -> None:
     """Raise ``ValueError`` naming the first field :func:`mc_oracle` would

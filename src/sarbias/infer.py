@@ -32,7 +32,9 @@ class WindowAnchor(Enum):
     TEST_TIME anchors on first positive test dates for both index and
     contacts. ONSET_TIME anchors on reported symptom-onset dates where the
     database has them (symptom-prompted tests), falling back to test dates
-    otherwise. Published designs vary on this point, so both exist.
+    otherwise; an onset counts only for a person with a positive test, so
+    a contact whose tests were all negative is never attributed. Published
+    designs vary on this point, so both exist.
     """
 
     TEST_TIME = "test_time"
@@ -159,7 +161,8 @@ def _anchor_times(obs: ObservedUnit,
     """Per-person anchor time, ``None`` where the person has none."""
     if anchor is WindowAnchor.ONSET_TIME and obs.reported_onsets:
         onsets = obs.reported_onsets
-        return [onsets.get(pid, t) for pid, t in enumerate(obs.first_positive)]
+        return [None if t is None else onsets.get(pid, t)
+                for pid, t in enumerate(obs.first_positive)]
     return obs.first_positive
 
 

@@ -32,6 +32,8 @@ import numpy as np
 from .params import DurationModelParams, SymptomModelParams
 from .infer import ratio_standard_error
 
+ORACLE_HORIZON_DAYS = 60.0  # the follow-up every oracle sampler assumes
+
 
 @dataclass(frozen=True)
 class ArmCounts:
@@ -233,18 +235,20 @@ def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
                             units_per_arm: int, rng: np.random.Generator,
                             contacts_per_unit: int = 3,
                             shared_phase: bool = True,
-                            window: tuple[float, float] = (0.0, 60.0),
+                            window: tuple[float, float] = (
+                                0.0, ORACLE_HORIZON_DAYS),
                             transmission: str = "linear") -> NaiveVsTrue:
     """Naive earliest-positive analysis of a scheduled-testing cohort.
 
-    The index is the member with the earliest first positive test over a
-    60-day horizon, ties resolved in favor of the primary (exact slot ties
-    arise only under a shared phase). Arms follow the index's vaccination
-    status, so a contact detected before the primary migrates the unit to
-    the unvaccinated arm, exactly as in a registry analysis. With
-    ``shared_phase`` the whole unit tests on the same schedule and
-    first-positive order matches acquisition order, which makes the naive
-    analysis coincide with the truth when every infection is detected.
+    The index is the member with the earliest first positive test over an
+    ``ORACLE_HORIZON_DAYS`` horizon, ties resolved in favor of the primary
+    (exact slot ties arise only under a shared phase). Arms follow the
+    index's vaccination status, so a contact detected before the primary
+    migrates the unit to the unvaccinated arm, exactly as in a registry
+    analysis. With ``shared_phase`` the whole unit tests on the same
+    schedule and first-positive order matches acquisition order, which
+    makes the naive analysis coincide with the truth when every infection
+    is detected.
     """
     m = contacts_per_unit
     k = interval_k
@@ -274,7 +278,8 @@ def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
         # bit-identical times, so argmin ties resolve to the primary.
         slot = np.ceil((acq - phase) / k)
         first_test = phase + slot * k
-        detected = infected & (first_test - acq < dur) & (first_test <= 60.0)
+        detected = (infected & (first_test - acq < dur)
+                    & (first_test <= ORACLE_HORIZON_DAYS))
         times = np.where(detected, first_test, np.inf)
 
         idx = np.argmin(times, axis=1)

@@ -1,4 +1,8 @@
+import pytest
+
+from sarbias import SymptomModelParams, symptom_prompted_target_mu
 from sarbias.cli import main
+from sarbias.harness import fmt12
 
 SIM_CONFIG = """
 scenario.id = cli_demo
@@ -11,8 +15,11 @@ policy.kind = symptom_prompted
 
 class TestAnalytic:
     def test_symptom_target_default(self, capsys):
+        # Flag defaults are the parameter bundles' defaults.
         assert main(["analytic", "--form", "symptom-target-mu"]) == 0
-        assert capsys.readouterr().out.strip() == "0.44"
+        out = capsys.readouterr().out.strip()
+        assert out == "0.44"
+        assert out == fmt12(symptom_prompted_target_mu(SymptomModelParams()))
 
     def test_sampling_fraction(self, capsys):
         rc = main(["analytic", "--form", "sampling-fraction", "--k", "10",
@@ -69,6 +76,16 @@ class TestSimulate:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(config), "--out",
+                  str(tmp_path / "rows.csv"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_zero_units_header_only(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
         config.write_text(SIM_CONFIG)
@@ -97,6 +114,20 @@ class TestSweep:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_negative_units_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fig1b.csv"
+        rc = main(["sweep", "--figure", "1b", "--units", "-3", "--out", str(out)])
+        assert rc == 2
+        assert "error: --units" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degenerate_oracle_reported(self, tmp_path, capsys):
+        out = tmp_path / "fig1a.csv"
+        rc = main(["sweep", "--figure", "1a", "--units", "5", "--out", str(out)])
+        assert rc == 2
+        assert "error: degenerate arm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--figure", "a1", "--units", "20000", "--seed", "3"]
@@ -114,3 +145,12 @@ class TestValidate:
         assert "checks passed" in out
         assert "[PASS]" in out
         assert "swapped-branch" in out
+
+    @pytest.mark.parametrize("units", ["0", "-5"])
+    def test_units_below_one_rejected(self, units, capsys):
+        assert main(["validate", "--units", units]) == 2
+        assert "error: --units must be >= 1" in capsys.readouterr().err
+
+    def test_degenerate_oracle_reported(self, capsys):
+        assert main(["validate", "--units", "5"]) == 2
+        assert "error: degenerate arm" in capsys.readouterr().err

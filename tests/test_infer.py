@@ -146,6 +146,16 @@ class TestAnalyzeUnit:
         assert analyze_unit(obs, design_test).n_attributed_transmissions == 1
         assert analyze_unit(obs, design_onset).n_attributed_transmissions == 0
 
+    def test_onset_anchor_ignores_onset_of_negative_contact(self):
+        # The contact reported symptoms on day 20 but tested negative then.
+        obs = observed([pos(0, 2.0), neg(1, 20.0)], n_persons=2,
+                       onsets={1: 20.0})
+        design = StudyDesignFilter(attribution_window=(1, 20),
+                                   anchor=WindowAnchor.ONSET_TIME)
+        result = analyze_unit(obs, design)
+        assert result.n_at_risk_contacts == 1
+        assert result.n_attributed_transmissions == 0
+
     def test_index_override_requires_positive(self):
         obs = observed([pos(1, 4.0)])
         anchored = analyze_unit(obs, StudyDesignFilter.maximal(), index_id=0)
