@@ -17,14 +17,14 @@ from .harness import (ResultRow, ScenarioConfig, load_config, mc_oracle,
                       sweep_figure_1b_a1, write_csv)
 from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
                     VESarEstimate, WindowAnchor, analyze_unit,
-                    bootstrap_ve_se, estimate_ve_sar, identify_index)
+                    bootstrap_ve_se, estimate_ve_sar, identify_index,
+                    true_ve_sar)
 from .mc import (mc_detection_fraction, mc_fully_observed_naive,
                  mc_infrequent_observed, mc_symptom_prompted_ve)
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
 from .params import DurationModelParams, ParameterError, SymptomModelParams
 from .simcore import (Infection, Person, SourceKind, TransmissionMode,
-                      UnitConfig, UnitTruth, sample_primary, simulate_unit,
-                      true_ve_sar)
+                      UnitConfig, UnitTruth, sample_primary, simulate_unit)
 from .validation import CheckResult, run_validation_suite
 
 __version__ = "0.1.0"

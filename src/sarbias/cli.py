@@ -116,7 +116,13 @@ def _run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_threads(args: argparse.Namespace) -> None:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
+    _check_threads(args)
     symptom = None
     duration = None
     seed = args.seed if args.seed is not None else 0
@@ -154,6 +160,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
+    _check_threads(args)
     if args.units < 1:
         raise ValueError(f"--units must be >= 1, got {args.units}")
     ok = validation.main_validation(units_per_arm=args.units, seed=args.seed,
@@ -169,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
            "validate": _run_validate}[args.command]
     try:
         return run(args)
-    except ValueError as exc:  # bad flag values and degenerate oracle arms
+    except ValueError as exc:  # bad flag values and oracles with empty arms
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,13 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimands
-from .infer import (PRESET_FILTERS, StudyDesignFilter, UnitAnalysis,
-                    WindowAnchor, analyze_unit, estimate_ve_sar)
+from .infer import (PRESET_FILTERS, EstimationError, StudyDesignFilter,
+                    UnitAnalysis, WindowAnchor, analyze_unit, estimate_ve_sar)
 from .mc import (ORACLE_HORIZON_DAYS, McRatio, mc_infrequent_observed,
                  mc_symptom_prompted_ve)
 from .observe import PolicyKind, TestingPolicy, apply_policy
 from .params import DurationModelParams, SymptomModelParams
-from .simcore import EstimationError, TransmissionMode, UnitConfig, simulate_unit
+from .simcore import TransmissionMode, UnitConfig, simulate_unit
 
 # Each (row, arm, chunk) of a scenario draws from its own stream, so this
 # chunk size is part of what fixes the output bytes for a seed.
@@ -135,11 +135,10 @@ _KEY_KINDS = {
     "scenario.id": "str", "scenario.seed": "int",
     "scenario.units_per_arm": "int", "scenario.out": "str",
     "scenario.index_rule": "str",
-    "unit.size": "int", "unit.p_primary_vaccinated": "float",
-    "unit.contacts_vaccinated": "bool", "unit.incubation_mean_days": "float",
-    "unit.incubation_log_sd": "float", "unit.community_daily_hazard": "float",
-    "unit.contact_to_contact": "bool", "unit.transmission_mode": "str",
-    "unit.followup_days": "float",
+    "unit.size": "int", "unit.contacts_vaccinated": "bool",
+    "unit.incubation_mean_days": "float", "unit.incubation_log_sd": "float",
+    "unit.community_daily_hazard": "float", "unit.contact_to_contact": "bool",
+    "unit.transmission_mode": "str", "unit.followup_days": "float",
     "symptom.lambda_symptom": "float", "symptom.delta": "float",
     "symptom.nu": "float", "symptom.rho_symptom": "float", "symptom.tau": "float",
     "duration.rho0": "float", "duration.rho1": "float", "duration.c": "float",
@@ -400,11 +399,15 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
 
 def _check_oracle_fields(cfg: ScenarioConfig) -> None:
     """Raise ``ValueError`` naming the first field :func:`mc_oracle` would
-    otherwise ignore: the oracles anchor on the true primary, test every
-    participant from a per-person random phase with no delay over a 60-day
-    horizon, and count every contact in the denominator."""
+    otherwise ignore: the oracles run one scenario row with unvaccinated
+    contacts, anchor on the true primary, test every participant from a
+    per-person random phase with no delay over a 60-day horizon, and count
+    every contact in the denominator."""
     policy, design = cfg.policy, cfg.design
     unsupported = [
+        ("sweep_axis", cfg.sweep_axis, cfg.sweep_axis is not None),
+        ("unit.contacts_vaccinated", cfg.unit.contacts_vaccinated,
+         cfg.unit.contacts_vaccinated),
         ("index_rule", cfg.index_rule, cfg.index_rule != "true_primary"),
         ("design.coprimary_exclusion_days", design.coprimary_exclusion_days,
          design.coprimary_exclusion_days is not None),
@@ -434,9 +437,10 @@ def mc_oracle(cfg: ScenarioConfig, n_reps: int, seed: int,
     """Vectorized simulate-observe-infer oracle for one scenario.
 
     Runs the reference-anchored cohort pipeline matching the scenario's
-    policy and transmission mode. Degenerate arms raise with a message
-    rather than returning NaN. A config field the oracle does not model
-    raises ``ValueError`` naming the field, rather than being ignored.
+    policy and transmission mode. An empty arm or an unvaccinated arm
+    without transmissions raises ``EstimationError`` rather than returning
+    NaN. A config field the oracle does not model raises ``ValueError``
+    naming the field, rather than being ignored.
     """
     if n_reps < 10_000:
         raise ValueError(f"n_reps must be >= 10000 for a usable oracle, "
@@ -453,11 +457,9 @@ def mc_oracle(cfg: ScenarioConfig, n_reps: int, seed: int,
     if (cfg.policy.kind is PolicyKind.SCHEDULED
             and mode in (TransmissionMode.PER_DAY_HAZARD,
                          TransmissionMode.PER_DAY_HAZARD_EXACT)):
-        transmission = ("linear" if mode is TransmissionMode.PER_DAY_HAZARD
-                        else "exact")
         return mc_infrequent_observed(d, cfg.policy.interval_days, n_reps, rng,
                                       contacts_per_unit=contacts,
-                                      transmission=transmission)
+                                      transmission=mode)
     if (cfg.policy.kind is PolicyKind.SYMPTOM_PROMPTED
             and mode is TransmissionMode.PER_UNIT_BERNOULLI):
         lo, hi = cfg.design.attribution_window

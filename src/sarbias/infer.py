@@ -11,6 +11,11 @@ SAR, and out-of-window true transmissions are dropped.
 Filters replicate the attribution-window and co-primary exclusion rules of
 published household and contact-tracing studies; see the preset
 constructors on :class:`StudyDesignFilter`.
+
+The VE-SAR estimate and its standard error are computed in one place,
+:func:`ve_from_arms` over two arms' :class:`ArmCounts`. The observed
+analysis (:func:`estimate_ve_sar`), the truth layer (:func:`true_ve_sar`)
+and the Monte Carlo oracles of :mod:`sarbias.mc` all call it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .observe import ObservedUnit
-from .simcore import EstimationError
+from .simcore import UnitTruth
 
 
 class WindowAnchor(Enum):
@@ -217,6 +222,75 @@ def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
                         excluded=False)
 
 
+class EstimationError(ValueError):
+    """An estimand is undefined for the data at hand."""
+
+
+@dataclass(frozen=True)
+class ArmCounts:
+    """Exact integer sums over the units of one arm.
+
+    A unit with ``m`` at-risk contacts and ``a`` attributed transmissions
+    adds to n, M = sum(m), A = sum(a), sum(a^2), sum(a*m) and sum(m^2):
+    all the pooled SAR and its cluster-robust variance need.
+    """
+
+    n_units: int
+    at_risk: int
+    attributed: int
+    attributed_sq: int
+    attributed_at_risk: int
+    at_risk_sq: int
+
+    @classmethod
+    def from_units(cls, attributed, at_risk) -> "ArmCounts":
+        """Sums over units with ``attributed[i]`` of ``at_risk[i]`` contacts;
+        a scalar ``at_risk`` is shared by every unit."""
+        a = np.asarray(attributed, dtype=np.int64)
+        m = np.broadcast_to(np.asarray(at_risk, dtype=np.int64), a.shape)
+        return cls(n_units=int(a.size), at_risk=int(m.sum()),
+                   attributed=int(a.sum()), attributed_sq=int((a * a).sum()),
+                   attributed_at_risk=int((a * m).sum()),
+                   at_risk_sq=int((m * m).sum()))
+
+    @property
+    def sar(self) -> float:
+        return self.attributed / self.at_risk
+
+    @property
+    def sar_variance(self) -> float:
+        """Cluster-robust variance of the pooled SAR, sum((a - SAR*m)^2)/M^2,
+        as one exact integer division; it is the binomial variance when
+        every unit has one contact."""
+        n_at_risk, n_attributed = self.at_risk, self.attributed
+        return ((self.attributed_sq * n_at_risk ** 2
+                 - 2 * n_attributed * self.attributed_at_risk * n_at_risk
+                 + n_attributed ** 2 * self.at_risk_sq) / n_at_risk ** 4)
+
+
+def ve_from_arms(arm_v: ArmCounts,
+                 arm_u: ArmCounts) -> tuple[float, float, float]:
+    """The SAR ratio (vaccinated over unvaccinated arm), VE = 1 - ratio,
+    and their delta-method standard error.
+
+    Raises:
+        EstimationError: if an arm has no at-risk contact ("insufficient
+            data") or the unvaccinated arm no transmission ("undefined VE").
+    """
+    for arm, label in ((arm_v, "vaccinated"), (arm_u, "unvaccinated")):
+        if arm.at_risk == 0:
+            raise EstimationError("insufficient data: no units with at-risk "
+                                  f"contacts in the {label} arm")
+    if arm_u.attributed == 0:
+        raise EstimationError("undefined VE: no transmission in the "
+                              "unvaccinated arm")
+    sar_v, sar_u = arm_v.sar, arm_u.sar
+    ratio = sar_v / sar_u
+    se = math.sqrt(arm_v.sar_variance / sar_u ** 2
+                   + sar_v ** 2 * arm_u.sar_variance / sar_u ** 4)
+    return ratio, 1.0 - ratio, se
+
+
 @dataclass(frozen=True)
 class VESarEstimate:
     """Pooled VE-SAR estimate with its delta-method standard error."""
@@ -228,51 +302,23 @@ class VESarEstimate:
     counts: dict
 
 
-def _arm_totals(analyses: list[UnitAnalysis], arm: bool,
-                per_unit_average: bool) -> tuple[float, float, float, int]:
-    """Returns (sar, variance of sar, at-risk total, unit count) for one arm."""
+def _index_arm(analyses: list[UnitAnalysis], vaccinated: bool) -> ArmCounts:
     rows = [a for a in analyses
-            if not a.excluded and a.index_vaccinated is arm
+            if not a.excluded and a.index_vaccinated is vaccinated
             and a.n_at_risk_contacts > 0]
-    n_units = len(rows)
-    if n_units == 0:
-        return math.nan, math.nan, 0.0, 0
-    if per_unit_average:
-        rates = [a.n_attributed_transmissions / a.n_at_risk_contacts for a in rows]
-        sar = sum(rates) / n_units
-        var = (sum((r - sar) ** 2 for r in rates) / (n_units - 1) / n_units
-               if n_units > 1 else math.nan)
-        return sar, var, float(n_units), n_units
-    at_risk = sum(a.n_at_risk_contacts for a in rows)
-    attributed = sum(a.n_attributed_transmissions for a in rows)
-    sar = attributed / at_risk
-    # Cluster-robust ratio-estimator variance; equals the binomial
-    # variance when every unit contributes exactly one contact.
-    ss = sum((a.n_attributed_transmissions - sar * a.n_at_risk_contacts) ** 2
-             for a in rows)
-    return sar, ss / at_risk ** 2, float(at_risk), n_units
+    return ArmCounts.from_units([a.n_attributed_transmissions for a in rows],
+                                [a.n_at_risk_contacts for a in rows])
 
 
-def ratio_standard_error(num: float, num_var: float,
-                         den: float, den_var: float) -> float:
-    """Delta-method standard error of ``num / den`` from arm variances."""
-    if den <= 0.0 or not math.isfinite(num_var) or not math.isfinite(den_var):
-        return math.nan
-    return math.sqrt(num_var / den ** 2 + num ** 2 * den_var / den ** 4)
-
-
-def estimate_ve_sar(analyses: list[UnitAnalysis],
-                    per_unit_average: bool = False) -> VESarEstimate:
+def estimate_ve_sar(analyses: list[UnitAnalysis]) -> VESarEstimate:
     """Pooled naive VE-SAR from per-unit analyses.
 
     Arms are formed by the *index* case's vaccination status, which is all
-    a retrospective analysis can see. ``per_unit_average`` switches the
-    pooled (aggregate-count) SAR for the mean of per-unit attack rates.
+    a retrospective analysis can see; units excluded or without at-risk
+    contacts are left out.
 
     Raises:
-        EstimationError: if either arm has no analyzable units
-            ("insufficient data") or the unvaccinated SAR is zero
-            ("undefined VE").
+        EstimationError: see :func:`ve_from_arms`.
     """
     excluded_counts: dict[str, int] = {}
     for a in analyses:
@@ -280,30 +326,45 @@ def estimate_ve_sar(analyses: list[UnitAnalysis],
             reason = a.exclusion_reason or "other"
             excluded_counts[reason] = excluded_counts.get(reason, 0) + 1
 
-    sar_v, var_v, atrisk_v, units_v = _arm_totals(analyses, True, per_unit_average)
-    sar_u, var_u, atrisk_u, units_u = _arm_totals(analyses, False, per_unit_average)
+    arm_v, arm_u = (_index_arm(analyses, arm) for arm in (True, False))
+    _, ve, se = ve_from_arms(arm_v, arm_u)
     counts = {
         "n_analyses": len(analyses),
-        "n_units_v": units_v,
-        "n_units_u": units_u,
-        "at_risk_v": atrisk_v,
-        "at_risk_u": atrisk_u,
+        "n_units_v": arm_v.n_units,
+        "n_units_u": arm_u.n_units,
+        "at_risk_v": arm_v.at_risk,
+        "at_risk_u": arm_u.at_risk,
         "excluded": excluded_counts,
     }
-    if units_v == 0 or units_u == 0:
-        arm = "vaccinated" if units_v == 0 else "unvaccinated"
-        raise EstimationError(f"insufficient data: no analyzable units with "
-                              f"{arm} index")
-    if sar_u == 0.0:
-        raise EstimationError("undefined VE: unvaccinated-arm SAR is zero")
-    ratio = sar_v / sar_u
-    se = ratio_standard_error(sar_v, var_v, sar_u, var_u)
-    return VESarEstimate(sar_v=sar_v, sar_u=sar_u, ve=1.0 - ratio, se=se,
+    return VESarEstimate(sar_v=arm_v.sar, sar_u=arm_u.sar, ve=ve, se=se,
                          counts=counts)
 
 
+def true_ve_sar(units: list[UnitTruth]) -> float:
+    """VE against the SAR computed from fully observed units.
+
+    Pools primary-sourced transmissions over all contacts, per primary
+    vaccination arm: ``1 - SAR(vaccinated primaries) / SAR(unvaccinated
+    primaries)``. Only infections whose direct source is the primary case
+    count as transmissions; community and contact-to-contact infections do
+    not.
+
+    Raises:
+        EstimationError: see :func:`ve_from_arms`.
+    """
+    arms: dict[bool, tuple[list[int], list[int]]] = {True: ([], []),
+                                                      False: ([], [])}
+    for unit in units:
+        attributed, at_risk = arms[unit.primary_vaccinated]
+        attributed.append(unit.primary_sourced_transmissions())
+        at_risk.append(unit.n_contacts())
+    _, ve, _ = ve_from_arms(ArmCounts.from_units(*arms[True]),
+                            ArmCounts.from_units(*arms[False]))
+    return ve
+
+
 def bootstrap_ve_se(analyses: list[UnitAnalysis], n_resamples: int = 500,
-                    seed: int = 0, per_unit_average: bool = False) -> float:
+                    seed: int = 0) -> float:
     """Unit-resampling bootstrap standard error of the VE estimate.
 
     Validation alternative to the delta-method SE reported by
@@ -320,8 +381,7 @@ def bootstrap_ve_se(analyses: list[UnitAnalysis], n_resamples: int = 500,
     for _ in range(n_resamples):
         draw = rng.integers(0, n, n)
         try:
-            ves.append(estimate_ve_sar([rows[i] for i in draw],
-                                       per_unit_average).ve)
+            ves.append(estimate_ve_sar([rows[i] for i in draw]).ve)
         except EstimationError:
             continue
     if len(ves) < 2:

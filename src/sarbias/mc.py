@@ -29,44 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .infer import ArmCounts, ve_from_arms
 from .params import DurationModelParams, SymptomModelParams
-from .infer import ratio_standard_error
+from .simcore import TransmissionMode
 
 ORACLE_HORIZON_DAYS = 60.0  # the follow-up every oracle sampler assumes
-
-
-@dataclass(frozen=True)
-class ArmCounts:
-    """Pooled attack-rate counts for one arm of a cohort run."""
-
-    n_units: int
-    contacts_per_unit: int
-    at_risk: int
-    attributed: int
-    attributed_sq: int  # sum of squared per-unit attributed counts
-
-    @property
-    def sar(self) -> float:
-        return self.attributed / self.at_risk
-
-    @property
-    def sar_variance(self) -> float:
-        """Cluster-robust variance of the pooled SAR."""
-        if self.at_risk == 0:
-            return math.nan
-        p, m = self.sar, self.contacts_per_unit
-        ss = (self.attributed_sq - 2.0 * p * m * self.attributed
-              + self.n_units * (p * m) ** 2)
-        return ss / self.at_risk ** 2
-
-
-def _arm_counts(attr_per_unit: np.ndarray, contacts_per_unit: int) -> ArmCounts:
-    a = attr_per_unit.astype(np.int64)
-    return ArmCounts(n_units=int(a.size),
-                     contacts_per_unit=contacts_per_unit,
-                     at_risk=int(a.size) * contacts_per_unit,
-                     attributed=int(a.sum()),
-                     attributed_sq=int((a * a).sum()))
 
 
 @dataclass(frozen=True)
@@ -83,25 +50,21 @@ class McRatio:
     @classmethod
     def from_arms(cls, arm_v: ArmCounts, arm_u: ArmCounts,
                   extras: dict | None = None) -> "McRatio":
-        if arm_v.at_risk == 0 or arm_u.at_risk == 0:
-            raise ValueError("degenerate arm: no sampled units "
-                             f"(v={arm_v.n_units}, u={arm_u.n_units})")
-        if arm_u.attributed == 0:
-            raise ValueError("degenerate arm: no unvaccinated-arm transmissions")
-        ratio = arm_v.sar / arm_u.sar
-        se = ratio_standard_error(arm_v.sar, arm_v.sar_variance,
-                                  arm_u.sar, arm_u.sar_variance)
-        return cls(mu_ratio=ratio, ve=1.0 - ratio, se=se,
+        """Raises :class:`~sarbias.infer.EstimationError` as
+        :func:`~sarbias.infer.ve_from_arms` does."""
+        ratio, ve, se = ve_from_arms(arm_v, arm_u)
+        return cls(mu_ratio=ratio, ve=ve, se=se,
                    arm_v=arm_v, arm_u=arm_u, extras=extras or {})
 
 
 def _transmission_probability(duration: np.ndarray, hazard: float,
-                              transmission: str) -> np.ndarray:
-    if transmission == "linear":
+                              transmission: TransmissionMode) -> np.ndarray:
+    if transmission is TransmissionMode.PER_DAY_HAZARD:
         return np.minimum(duration * hazard, 1.0)
-    if transmission == "exact":
+    if transmission is TransmissionMode.PER_DAY_HAZARD_EXACT:
         return 1.0 - np.exp(-duration * hazard)
-    raise ValueError(f"unknown transmission model {transmission!r}")
+    raise ValueError("duration oracles need a per-day-hazard transmission "
+                     f"mode, got {transmission}")
 
 
 def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
@@ -122,7 +85,8 @@ def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
 def mc_infrequent_observed(d: DurationModelParams, interval_k: float,
                            units_per_arm: int, rng: np.random.Generator,
                            contacts_per_unit: int = 1,
-                           transmission: str = "linear") -> McRatio:
+                           transmission: TransmissionMode = (
+                               TransmissionMode.PER_DAY_HAZARD)) -> McRatio:
     """Cohort oracle for the observed ratio under testing every ``k`` days.
 
     Reference anchor: a unit is sampled when its primary case is detected
@@ -150,7 +114,7 @@ def mc_infrequent_observed(d: DurationModelParams, interval_k: float,
         detected_c = offset_c < dur_c
 
         attributed = (transmitted & detected_c)[sampled].sum(axis=1)
-        arms[vaccinated] = _arm_counts(attributed, m)
+        arms[vaccinated] = ArmCounts.from_units(attributed, m)
 
         f = float(sampled.mean())
         extras[f"detection_fraction_{label}"] = f
@@ -208,8 +172,8 @@ def mc_symptom_prompted_ve(s: SymptomModelParams, d: DurationModelParams,
             positive_c = positive_c & (lag >= lo) & (lag <= hi)
 
         attributed = positive_c[sampled].sum(axis=1)
-        arms[vaccinated] = _arm_counts(attributed, m)
-        true_arms[vaccinated] = _arm_counts(transmitted.sum(axis=1), m)
+        arms[vaccinated] = ArmCounts.from_units(attributed, m)
+        true_arms[vaccinated] = ArmCounts.from_units(transmitted.sum(axis=1), m)
 
     true_ratio = McRatio.from_arms(true_arms[True], true_arms[False])
     extras = {"true_ve": true_ratio.ve, "true_ve_se": true_ratio.se}
@@ -237,7 +201,8 @@ def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
                             shared_phase: bool = True,
                             window: tuple[float, float] = (
                                 0.0, ORACLE_HORIZON_DAYS),
-                            transmission: str = "linear") -> NaiveVsTrue:
+                            transmission: TransmissionMode = (
+                                TransmissionMode.PER_DAY_HAZARD)) -> NaiveVsTrue:
     """Naive earliest-positive analysis of a scheduled-testing cohort.
 
     The index is the member with the earliest first positive test over an
@@ -304,9 +269,9 @@ def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
             mask = analyzed & (arm_of_unit == arm)
             pooled[arm].append(attributed[mask])
 
-        true_arms[vaccinated] = _arm_counts(transmitted.sum(axis=1), m)
+        true_arms[vaccinated] = ArmCounts.from_units(transmitted.sum(axis=1), m)
 
-    arm_counts = {arm: _arm_counts(np.concatenate(parts), m)
+    arm_counts = {arm: ArmCounts.from_units(np.concatenate(parts), m)
                   for arm, parts in pooled.items()}
     naive = McRatio.from_arms(arm_counts[True], arm_counts[False])
     truth = McRatio.from_arms(true_arms[True], true_arms[False])

@@ -37,10 +37,6 @@ import numpy as np
 from .params import DurationModelParams, ParameterError, SymptomModelParams
 
 
-class EstimationError(ValueError):
-    """An estimand is undefined for the data at hand."""
-
-
 class SourceKind(Enum):
     PRIMARY = "primary"        # the unit's seeded first infection
     CONTACT = "contact"        # infected by the unit member named in source_id
@@ -131,12 +127,6 @@ class UnitTruth:
     def primary_vaccinated(self) -> bool:
         pid = self.primary_id
         return self.persons[pid].vaccinated
-
-    def infection_of(self, person_id: int) -> Optional[Infection]:
-        for inf in self.infections:
-            if inf.person_id == person_id:
-                return inf
-        return None
 
     def n_contacts(self) -> int:
         return len(self.persons) - 1
@@ -267,32 +257,3 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
 
     ordered = sorted(infections.values(), key=lambda inf: inf.acquisition_time)
     return UnitTruth(persons=persons, infections=ordered)
-
-
-def true_ve_sar(units: list[UnitTruth]) -> float:
-    """VE against the SAR computed from fully observed units.
-
-    Pools primary-sourced transmissions over all contacts, per primary
-    vaccination arm: ``1 - SAR(vaccinated primaries) / SAR(unvaccinated
-    primaries)``. Only infections whose direct source is the primary case
-    count as transmissions; community and contact-to-contact infections do
-    not.
-
-    Raises:
-        EstimationError: if either arm is empty, or no unvaccinated-arm
-            transmission was observed (the denominator SAR is zero).
-    """
-    attributed = {True: 0, False: 0}
-    at_risk = {True: 0, False: 0}
-    for unit in units:
-        arm = unit.primary_vaccinated
-        at_risk[arm] += unit.n_contacts()
-        attributed[arm] += unit.primary_sourced_transmissions()
-    for arm, label in ((True, "vaccinated"), (False, "unvaccinated")):
-        if at_risk[arm] == 0:
-            raise EstimationError(f"insufficient data: no units with {label} primary")
-    sar_u = attributed[False] / at_risk[False]
-    if sar_u == 0.0:
-        raise EstimationError("undefined VE: no unvaccinated transmission observed")
-    sar_v = attributed[True] / at_risk[True]
-    return 1.0 - sar_v / sar_u

@@ -125,7 +125,16 @@ class TestSweep:
         out = tmp_path / "fig1a.csv"
         rc = main(["sweep", "--figure", "1a", "--units", "5", "--out", str(out)])
         assert rc == 2
-        assert "error: degenerate arm" in capsys.readouterr().err
+        assert "error: undefined VE" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
+        out = tmp_path / "fig1b.csv"
+        rc = main(["sweep", "--figure", "1b", "--units", "20000",
+                   "--threads", threads, "--out", str(out)])
+        assert rc == 2
+        assert "error: --threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
@@ -151,6 +160,13 @@ class TestValidate:
         assert main(["validate", "--units", units]) == 2
         assert "error: --units must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, threads, capsys):
+        assert main(["validate", "--units", "1000", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert "error: --threads must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_degenerate_oracle_reported(self, capsys):
         assert main(["validate", "--units", "5"]) == 2
-        assert "error: degenerate arm" in capsys.readouterr().err
+        assert "error: undefined VE" in capsys.readouterr().err

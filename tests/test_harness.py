@@ -63,6 +63,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'scenario.threads'"):
             parse_config("scenario.seed = 1\nscenario.threads = 2")
 
+    def test_primary_vaccination_key_removed(self):
+        # Each arm fixes the primary's vaccination, so a share would be
+        # silently overwritten; setting it is an error.
+        with pytest.raises(ConfigError,
+                           match="unknown key 'unit.p_primary_vaccinated'"):
+            parse_config("scenario.seed = 1\nunit.p_primary_vaccinated = 0.9")
+
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="duration.rho0"):
             parse_config("scenario.seed = 1\nduration.rho0 = fourteen")
@@ -271,6 +278,11 @@ class TestMcOracle:
         ("design.attribution_window",
          lambda c: replace(c, design=StudyDesignFilter(
              attribution_window=(2.0, 14.0)))),
+        ("unit.contacts_vaccinated",
+         lambda c: replace(c, unit=replace(c.unit, contacts_vaccinated=True))),
+        ("sweep_axis",
+         lambda c: replace(c, sweep_axis="policy.interval_days",
+                           sweep_grid=(3.0, 7.0))),
     ])
     def test_ignored_scheduled_fields_rejected(self, field_name, change):
         cfg = parse_config(SCHEDULED_CONFIG)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sarbias import (EstimationError, Infection, Person, SourceKind,
                      StudyDesignFilter, SymptomModelParams, TestRecord,
                      TestingPolicy, UnitAnalysis, UnitConfig, WindowAnchor,
                      analyze_unit, apply_policy, estimate_ve_sar,
-                     identify_index, simulate_unit)
+                     identify_index, simulate_unit, true_ve_sar)
+from sarbias.infer import ArmCounts
+from sarbias.mc import McRatio
 from sarbias.observe import ObservedUnit
 from sarbias.simcore import UnitTruth
 
@@ -265,14 +268,70 @@ class TestEstimateVeSar:
         boot = bootstrap_ve_se(analyses, n_resamples=400, seed=9)
         assert boot == pytest.approx(est.se, rel=0.25)
 
-    def test_per_unit_average_variant(self):
-        analyses = [analysis(True, 10, 0), analysis(True, 2, 1),
-                    analysis(False, 10, 5), analysis(False, 2, 1)]
-        pooled = estimate_ve_sar(analyses)
-        averaged = estimate_ve_sar(analyses, per_unit_average=True)
-        assert pooled.sar_v == pytest.approx(1 / 12)
-        assert averaged.sar_v == pytest.approx(0.25)
-        assert pooled.ve != averaged.ve
+
+def truth(vaccinated, at_risk, attributed):
+    """A fully observed unit whose primary infected ``attributed`` of its
+    ``at_risk`` contacts."""
+    persons = [Person(id=i, vaccinated=vaccinated and i == 0)
+               for i in range(at_risk + 1)]
+    infections = [Infection(person_id=0, acquisition_time=0.0,
+                            source_kind=SourceKind.PRIMARY, source_id=None,
+                            symptomatic=True, symptom_onset_time=5.0,
+                            duration_days=10.0)]
+    infections += [Infection(person_id=i, acquisition_time=float(i),
+                             source_kind=SourceKind.CONTACT, source_id=0,
+                             symptomatic=False, symptom_onset_time=None,
+                             duration_days=10.0)
+                   for i in range(1, attributed + 1)]
+    return UnitTruth(persons=persons, infections=infections)
+
+
+UNIT_COUNTS = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 7)).flatmap(
+        lambda vm: st.tuples(st.just(vm[0]), st.just(vm[1]),
+                             st.integers(0, vm[1]))),
+    max_size=30)
+
+
+class TestOneEstimator:
+    """The observed analysis, the oracles and the truth layer share one
+    estimator, so the same per-unit counts give the same answer."""
+
+    @given(UNIT_COUNTS)
+    def test_same_counts_same_estimate(self, units):
+        def arm(vaccinated):
+            rows = [(m, a) for v, m, a in units if v is vaccinated]
+            return ArmCounts.from_units([a for _, a in rows],
+                                        [m for m, _ in rows])
+
+        def outcome(run):
+            try:
+                return run()
+            except EstimationError as exc:
+                return str(exc)
+
+        observed = outcome(lambda: estimate_ve_sar(
+            [analysis(v, m, a) for v, m, a in units]))
+        oracle = outcome(lambda: McRatio.from_arms(arm(True), arm(False)))
+        truth_ve = outcome(lambda: true_ve_sar(
+            [truth(v, m, a) for v, m, a in units]))
+        if isinstance(observed, str):
+            assert oracle == truth_ve == observed
+            return
+        assert oracle.ve == truth_ve == observed.ve
+        assert oracle.se == observed.se
+
+        # The exact integer variance equals the cluster-robust sum.
+        arm_v, arm_u = arm(True), arm(False)
+        var = {}
+        for vaccinated, counts in ((True, arm_v), (False, arm_u)):
+            var[vaccinated] = sum(
+                (a - counts.sar * m) ** 2
+                for v, m, a in units if v is vaccinated) / counts.at_risk ** 2
+        assert observed.se == pytest.approx(
+            np.sqrt(var[True] / arm_u.sar ** 2
+                    + arm_v.sar ** 2 * var[False] / arm_u.sar ** 4),
+            rel=1e-9, abs=1e-15)
 
 
 class TestCommunityContamination:

@@ -89,14 +89,14 @@ class TestInfrequentOracle:
     def test_exact_transmission_mode_departs_from_linear_form(self):
         # The closed forms linearize 1 - exp(-n tau); with tau0 = 0.01 the
         # exact model sits several standard errors away on the plateau.
-        mc = mc_infrequent_observed(D, 25.0, 1_000_000,
-                                    np.random.default_rng(23),
-                                    transmission="exact")
+        mc = mc_infrequent_observed(
+            D, 25.0, 1_000_000, np.random.default_rng(23),
+            transmission=TransmissionMode.PER_DAY_HAZARD_EXACT)
         assert abs(mc.mu_ratio - infrequent_observed_mu(25.0, D)) > 3 * mc.se
 
     def test_degenerate_arm_raises(self):
         tiny = DurationModelParams(tau0=1e-9)
-        with pytest.raises(ValueError, match="degenerate arm"):
+        with pytest.raises(ValueError, match="undefined VE"):
             mc_infrequent_observed(tiny, 10.0, 20_000, np.random.default_rng(24))
 
 
