@@ -8,12 +8,9 @@ instead of the full target estimand (1 - mu). The gap widens as
 asymptomatic infections transmit less (smaller delta).
 """
 
-import numpy as np
-
-from sarbias import (DurationModelParams, InfeasibleTargetError,
-                     SymptomModelParams, invert_target_to_nu,
-                     mc_symptom_prompted_ve, symptom_prompted_actual_mu,
-                     symptom_prompted_target_mu)
+from sarbias import (InfeasibleTargetError, SymptomModelParams,
+                     invert_target_to_nu, mc_oracle, parse_config,
+                     symptom_prompted_actual_mu, symptom_prompted_target_mu)
 
 params = SymptomModelParams()  # lambda=0.2, delta=0.5, nu=0.6, rho=0.5
 target_ve = 1.0 - symptom_prompted_target_mu(params)
@@ -40,8 +37,14 @@ for delta in (1.0, 0.75, 0.5, 0.25, 0.1):
 print()
 
 print("Simulation check (100k units per arm, symptom-prompted sampling):")
-mc = mc_symptom_prompted_ve(params, DurationModelParams(), 100_000,
-                            np.random.default_rng(2026))
+cfg = parse_config("""
+scenario.seed = 2026
+scenario.index_rule = true_primary
+unit.transmission_mode = per_unit_bernoulli
+policy.kind = symptom_prompted
+""")
+cohort = mc_oracle(cfg, 100_000, seed=cfg.seed)
+mc, truth = cohort.observed_ratio(), cohort.true_ratio()
 print(f"  simulated naive VE  : {mc.ve:.4f} (se {mc.se:.4f})  -> 1 - nu = {actual_ve}")
-print(f"  same-cohort true VE : {mc.extras['true_ve']:.4f} "
-      f"(se {mc.extras['true_ve_se']:.4f})  -> target = {target_ve}")
+print(f"  same-cohort true VE : {truth.ve:.4f} "
+      f"(se {truth.se:.4f})  -> target = {target_ve}")

@@ -10,10 +10,8 @@ once it exceeds the longest duration, and the dependence in between is not
 monotone.
 """
 
-import numpy as np
-
 from sarbias import (DurationModelParams, infrequent_observed_mu,
-                     infrequent_target_mu, mc_infrequent_observed,
+                     infrequent_target_mu, mc_oracle, parse_config,
                      sampling_fraction)
 
 d = DurationModelParams()  # durations U(7,21) / U(1,15), hazard ratio 0.7
@@ -34,8 +32,18 @@ print("Note the plateau past k = 21 (the longest unvaccinated duration) and")
 print("the non-monotone dip around k = 14.")
 print()
 
+# Units of two tested every 10 days, analysed from the true primary: the
+# regime of the closed form.
 k_check = 10.0
-mc = mc_infrequent_observed(d, k_check, 300_000, np.random.default_rng(7))
+cfg = parse_config(f"""
+scenario.seed = 7
+scenario.index_rule = true_primary
+unit.size = 2
+unit.transmission_mode = per_day_hazard
+policy.kind = scheduled
+policy.interval_days = {k_check}
+""")
+mc = mc_oracle(cfg, 300_000, seed=cfg.seed).observed_ratio()
 print(f"Simulation check at k = {k_check:g} (300k units per arm):")
 print(f"  simulated observed VE: {mc.ve:.4f} (se {mc.se:.4f})")
 print(f"  closed form          : {1.0 - infrequent_observed_mu(k_check, d):.4f}")

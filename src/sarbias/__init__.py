@@ -19,8 +19,7 @@ from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
                     VESarEstimate, WindowAnchor, analyze_unit,
                     bootstrap_ve_se, estimate_ve_sar, identify_index,
                     true_ve_sar)
-from .mc import (mc_detection_fraction, mc_fully_observed_naive,
-                 mc_infrequent_observed, mc_symptom_prompted_ve)
+from .mc import mc_detection_fraction
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
 from .params import DurationModelParams, ParameterError, SymptomModelParams
 from .simcore import (Infection, Person, SourceKind, TransmissionMode,
@@ -40,8 +39,7 @@ __all__ = [
     "identify_index",
     "infrequent_observed_component", "infrequent_observed_mu",
     "infrequent_target_mu", "invert_target_to_nu", "load_config",
-    "mc_detection_fraction", "mc_fully_observed_naive",
-    "mc_infrequent_observed", "mc_oracle", "mc_symptom_prompted_ve",
+    "mc_detection_fraction", "mc_oracle",
     "parse_config", "run_scenario", "run_validation_suite",
     "sample_primary", "sampling_fraction", "simulate_unit",
     "sweep_figure_1a", "sweep_figure_1b_a1", "symptom_prompted_actual_mu",

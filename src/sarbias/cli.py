@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 from . import estimands, harness, validation
 from .params import DurationModelParams, SymptomModelParams
+from .simcore import UnitConfig
 
 _FORMS = ("symptom-target-mu", "symptom-actual-mu", "invert-nu",
           "infrequent-target-mu", "sampling-fraction",
@@ -121,6 +122,17 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
+def _changed_fields(value, default, prefix: str = "") -> list[str]:
+    """Dotted names of the fields where ``value`` differs from ``default``
+    (a design's ``note`` is a label, not a field the analysis reads)."""
+    if not is_dataclass(value):
+        return [] if value == default else [prefix.rstrip(".")]
+    return [name for f in fields(value) if f.name != "note"
+            for name in _changed_fields(getattr(value, f.name),
+                                        getattr(default, f.name),
+                                        f"{prefix}{f.name}.")]
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     _check_threads(args)
     symptom = None
@@ -135,6 +147,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         symptom, duration = cfg.unit.symptom, cfg.unit.duration
+        read = harness.ScenarioConfig(
+            unit=UnitConfig(symptom=symptom, duration=duration),
+            units_per_arm=cfg.units_per_arm, seed=cfg.seed,
+            out_path=cfg.out_path)
+        unread = _changed_fields(cfg, read)
+        if unread:
+            print(f"config error: sweep reads only the symptom and duration "
+                  f"parameters, seed, units and output path; it would ignore "
+                  f"{', '.join(unread)}", file=sys.stderr)
+            return 2
         if args.seed is None:
             seed = cfg.seed
         if args.units is None:

@@ -25,8 +25,7 @@ import numpy as np
 from . import estimands
 from .infer import (PRESET_FILTERS, EstimationError, StudyDesignFilter,
                     UnitAnalysis, WindowAnchor, analyze_unit, estimate_ve_sar)
-from .mc import (ORACLE_HORIZON_DAYS, McRatio, mc_infrequent_observed,
-                 mc_symptom_prompted_ve)
+from .mc import CohortCounts, run_cohort
 from .observe import PolicyKind, TestingPolicy, apply_policy
 from .params import DurationModelParams, SymptomModelParams
 from .simcore import TransmissionMode, UnitConfig, simulate_unit
@@ -317,20 +316,44 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
 # --- object-pipeline scenario runner ----------------------------------------
 
 def _analytic_columns(cfg: ScenarioConfig) -> tuple[float, float]:
-    """(target VE, analytic observed VE) when the scenario matches one of
-    the closed-form regimes, else NaNs."""
-    s, d = cfg.unit.symptom, cfg.unit.duration
-    mode = cfg.unit.transmission_mode
-    if (cfg.policy.kind is PolicyKind.SYMPTOM_PROMPTED
-            and mode is TransmissionMode.PER_UNIT_BERNOULLI):
-        return (1.0 - estimands.symptom_prompted_target_mu(s),
-                1.0 - estimands.symptom_prompted_actual_mu(s))
-    if (cfg.policy.kind is PolicyKind.SCHEDULED
-            and mode is TransmissionMode.PER_DAY_HAZARD):
-        k = cfg.policy.interval_days
-        return (1.0 - estimands.infrequent_target_mu(d),
-                1.0 - estimands.infrequent_observed_mu(k, d))
-    return math.nan, math.nan
+    """(target VE, analytic observed VE) where the closed forms hold, NaN
+    elsewhere.
+
+    The target needs the closed forms' generative model: the transmission
+    mode they assume for the policy kind, no community or contact-to-contact
+    infection, and unvaccinated contacts. The observed VE also needs their
+    analysis: the true primary as index over a maximal window, no co-primary
+    rule, every contact in the denominator, the test-time anchor, testing
+    without opt-outs over the 60-day horizon, and symptom tests without
+    delay or schedules from per-person random phases.
+    """
+    unit, policy, design = cfg.unit, cfg.policy, cfg.design
+    if policy.kind is PolicyKind.SYMPTOM_PROMPTED:
+        mode = TransmissionMode.PER_UNIT_BERNOULLI
+    elif policy.kind is PolicyKind.SCHEDULED:
+        mode = TransmissionMode.PER_DAY_HAZARD
+    else:
+        return math.nan, math.nan
+    if (unit.transmission_mode is not mode or unit.community_daily_hazard > 0
+            or unit.contact_to_contact or unit.contacts_vaccinated):
+        return math.nan, math.nan
+    s, d = unit.symptom, unit.duration
+    lo, hi = design.attribution_window
+    reference = (cfg.index_rule == "true_primary" and lo <= -60.0 and hi >= 60.0
+                 and design.coprimary_exclusion_days is None
+                 and not design.require_contact_tested
+                 and design.anchor is WindowAnchor.TEST_TIME
+                 and policy.participation >= 1.0 and policy.horizon_days == 60.0)
+    if mode is TransmissionMode.PER_UNIT_BERNOULLI:
+        target = 1.0 - estimands.symptom_prompted_target_mu(s)
+        actual = 1.0 - estimands.symptom_prompted_actual_mu(s)
+        reference = reference and policy.delay_days == 0.0
+    else:
+        target = 1.0 - estimands.infrequent_target_mu(d)
+        actual = 1.0 - estimands.infrequent_observed_mu(policy.interval_days, d)
+        reference = (reference and not policy.shared_phase
+                     and policy.fixed_phase is None)
+    return target, actual if reference else math.nan
 
 
 def _chunk_sizes(total: int) -> list[int]:
@@ -397,81 +420,43 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
 
 # --- fast Monte Carlo oracle -------------------------------------------------
 
-def _check_oracle_fields(cfg: ScenarioConfig) -> None:
-    """Raise ``ValueError`` naming the first field :func:`mc_oracle` would
-    otherwise ignore: the oracles run one scenario row with unvaccinated
-    contacts, anchor on the true primary, test every participant from a
-    per-person random phase with no delay over a 60-day horizon, and count
-    every contact in the denominator."""
-    policy, design = cfg.policy, cfg.design
-    unsupported = [
-        ("sweep_axis", cfg.sweep_axis, cfg.sweep_axis is not None),
-        ("unit.contacts_vaccinated", cfg.unit.contacts_vaccinated,
-         cfg.unit.contacts_vaccinated),
-        ("index_rule", cfg.index_rule, cfg.index_rule != "true_primary"),
-        ("design.coprimary_exclusion_days", design.coprimary_exclusion_days,
-         design.coprimary_exclusion_days is not None),
-        ("design.require_contact_tested", design.require_contact_tested,
-         design.require_contact_tested),
-        ("design.anchor", design.anchor.value,
-         design.anchor is not WindowAnchor.TEST_TIME),
-        ("policy.delay_days", policy.delay_days, policy.delay_days != 0.0),
-        ("policy.participation", policy.participation, policy.participation < 1.0),
-        ("policy.shared_phase", policy.shared_phase, policy.shared_phase),
-        ("policy.fixed_phase", policy.fixed_phase, policy.fixed_phase is not None),
-        ("policy.horizon_days", policy.horizon_days,
-         policy.horizon_days != ORACLE_HORIZON_DAYS),
-    ]
-    if policy.kind is PolicyKind.SCHEDULED:
-        lo, hi = design.attribution_window
-        unsupported.append(("design.attribution_window", design.attribution_window,
-                            lo > -policy.horizon_days or hi < policy.horizon_days))
-    for name, value, rejected in unsupported:
-        if rejected:
-            raise ValueError(f"fast oracle does not model {name} = {value!r}; "
-                             "use run_scenario for this config")
-
-
 def mc_oracle(cfg: ScenarioConfig, n_reps: int, seed: int,
-              rng_key: tuple[int, ...] = ()) -> McRatio:
-    """Vectorized simulate-observe-infer oracle for one scenario.
+              rng_key: tuple[int, ...] = ()) -> CohortCounts:
+    """The cohort engine on one scenario: ``n_reps`` units per arm from the
+    stream of ``(seed, rng_key)``.
 
-    Runs the reference-anchored cohort pipeline matching the scenario's
-    policy and transmission mode. An empty arm or an unvaccinated arm
-    without transmissions raises ``EstimationError`` rather than returning
-    NaN. A config field the oracle does not model raises ``ValueError``
-    naming the field, rather than being ignored.
+    Raises ``ValueError`` for fewer than 10000 units per arm or a set
+    sweep axis (the oracle answers for the base config only).
     """
     if n_reps < 10_000:
         raise ValueError(f"n_reps must be >= 10000 for a usable oracle, "
                          f"got {n_reps}")
-    rng = spawn_rng(seed, *rng_key)
-    s, d = cfg.unit.symptom, cfg.unit.duration
-    contacts = cfg.unit.unit_size - 1
-    mode = cfg.unit.transmission_mode
-    if cfg.unit.community_daily_hazard > 0 or cfg.unit.contact_to_contact:
-        raise ValueError("fast oracle covers within-unit primary transmission "
-                         "only; use run_scenario for community or "
-                         "contact-to-contact scenarios")
-    _check_oracle_fields(cfg)
-    if (cfg.policy.kind is PolicyKind.SCHEDULED
-            and mode in (TransmissionMode.PER_DAY_HAZARD,
-                         TransmissionMode.PER_DAY_HAZARD_EXACT)):
-        return mc_infrequent_observed(d, cfg.policy.interval_days, n_reps, rng,
-                                      contacts_per_unit=contacts,
-                                      transmission=mode)
-    if (cfg.policy.kind is PolicyKind.SYMPTOM_PROMPTED
-            and mode is TransmissionMode.PER_UNIT_BERNOULLI):
-        lo, hi = cfg.design.attribution_window
-        window = None if (lo <= -cfg.policy.horizon_days
-                          and hi >= cfg.policy.horizon_days) else (lo, hi)
-        return mc_symptom_prompted_ve(
-            s, d, n_reps, rng, contacts_per_unit=contacts,
-            incubation_mean_days=cfg.unit.incubation_mean_days,
-            incubation_log_sd=cfg.unit.incubation_log_sd, window=window)
-    raise ValueError("fast oracle supports scheduled testing with a "
-                     "per-day-hazard mode or symptom-prompted testing with "
-                     "per-unit Bernoulli transmission")
+    if cfg.sweep_axis is not None:
+        raise ValueError(f"the oracle does not model sweep_axis = "
+                         f"{cfg.sweep_axis!r}: it answers for the base config")
+    return run_cohort(cfg, n_reps, spawn_rng(seed, *rng_key))
+
+
+def scheduled_reference(d: DurationModelParams, interval_k: float,
+                        transmission: TransmissionMode = (
+                            TransmissionMode.PER_DAY_HAZARD)) -> ScenarioConfig:
+    """Units of two tested every ``interval_k`` days from per-person random
+    phases, analysed from the true primary over a maximal window: the
+    regime of the infrequent-testing closed forms."""
+    return ScenarioConfig(
+        unit=UnitConfig(unit_size=2, duration=d, transmission_mode=transmission),
+        policy=TestingPolicy.scheduled(interval_k), index_rule="true_primary")
+
+
+def symptom_reference(s: SymptomModelParams,
+                      d: DurationModelParams | None = None) -> ScenarioConfig:
+    """Units of four under symptom-prompted testing, analysed from the true
+    primary over a maximal window: the regime of the symptom-prompted
+    closed forms."""
+    return ScenarioConfig(
+        unit=UnitConfig(symptom=s, duration=d or DurationModelParams(),
+                        transmission_mode=TransmissionMode.PER_UNIT_BERNOULLI),
+        index_rule="true_primary")
 
 
 # --- figure sweeps -----------------------------------------------------------
@@ -514,10 +499,9 @@ def sweep_figure_1a(symptom_base: SymptomModelParams | None = None,
         actual = 1.0 - nu
         if units_per_arm <= 0:
             return ResultRow(actual_ve_analytic=actual, **common)
-        params = replace(base, delta=delta, nu=nu)
-        rng = spawn_rng(seed, row_index)
-        mc = mc_symptom_prompted_ve(params, DurationModelParams(),
-                                    units_per_arm, rng)
+        cfg = symptom_reference(replace(base, delta=delta, nu=nu))
+        mc = run_cohort(cfg, units_per_arm,
+                        spawn_rng(seed, row_index)).observed_ratio()
         return ResultRow(actual_ve_analytic=actual, actual_ve_mc=mc.ve,
                          mc_se=mc.se, n_units=units_per_arm, **common)
 
@@ -558,8 +542,8 @@ def sweep_figure_1b_a1(duration_base: DurationModelParams | None = None,
         actual = 1.0 - estimands.infrequent_observed_mu(k, d)
         if units_per_arm <= 0:
             return ResultRow(actual_ve_analytic=actual, **common)
-        rng = spawn_rng(seed, row_index)
-        mc = mc_infrequent_observed(d, k, units_per_arm, rng)
+        mc = run_cohort(scheduled_reference(d, k), units_per_arm,
+                        spawn_rng(seed, row_index)).observed_ratio()
         return ResultRow(actual_ve_analytic=actual, actual_ve_mc=mc.ve,
                          mc_se=mc.se, n_units=units_per_arm, **common)
 

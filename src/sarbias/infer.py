@@ -21,9 +21,9 @@ and the Monte Carlo oracles of :mod:`sarbias.mc` all call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -245,13 +245,19 @@ class ArmCounts:
     @classmethod
     def from_units(cls, attributed, at_risk) -> "ArmCounts":
         """Sums over units with ``attributed[i]`` of ``at_risk[i]`` contacts;
-        a scalar ``at_risk`` is shared by every unit."""
+        a scalar ``at_risk`` is shared by every unit. A unit without at-risk
+        contacts adds nothing, not even to ``n_units``."""
         a = np.asarray(attributed, dtype=np.int64)
         m = np.broadcast_to(np.asarray(at_risk, dtype=np.int64), a.shape)
-        return cls(n_units=int(a.size), at_risk=int(m.sum()),
+        return cls(n_units=int(np.count_nonzero(m)), at_risk=int(m.sum()),
                    attributed=int(a.sum()), attributed_sq=int((a * a).sum()),
                    attributed_at_risk=int((a * m).sum()),
                    at_risk_sq=int((m * m).sum()))
+
+    def __add__(self, other: "ArmCounts") -> "ArmCounts":
+        """Counts of the two sets of units pooled."""
+        return ArmCounts(*(getattr(self, f.name) + getattr(other, f.name)
+                           for f in fields(self)))
 
     @property
     def sar(self) -> float:
@@ -268,10 +274,17 @@ class ArmCounts:
                  + n_attributed ** 2 * self.at_risk_sq) / n_at_risk ** 4)
 
 
-def ve_from_arms(arm_v: ArmCounts,
-                 arm_u: ArmCounts) -> tuple[float, float, float]:
+class VeRatio(NamedTuple):
     """The SAR ratio (vaccinated over unvaccinated arm), VE = 1 - ratio,
-    and their delta-method standard error.
+    and their delta-method standard error."""
+
+    mu_ratio: float
+    ve: float
+    se: float
+
+
+def ve_from_arms(arm_v: ArmCounts, arm_u: ArmCounts) -> VeRatio:
+    """The :class:`VeRatio` of two arms.
 
     Raises:
         EstimationError: if an arm has no at-risk contact ("insufficient
@@ -288,7 +301,7 @@ def ve_from_arms(arm_v: ArmCounts,
     ratio = sar_v / sar_u
     se = math.sqrt(arm_v.sar_variance / sar_u ** 2
                    + sar_v ** 2 * arm_u.sar_variance / sar_u ** 4)
-    return ratio, 1.0 - ratio, se
+    return VeRatio(ratio, 1.0 - ratio, se)
 
 
 @dataclass(frozen=True)
@@ -303,9 +316,7 @@ class VESarEstimate:
 
 
 def _index_arm(analyses: list[UnitAnalysis], vaccinated: bool) -> ArmCounts:
-    rows = [a for a in analyses
-            if not a.excluded and a.index_vaccinated is vaccinated
-            and a.n_at_risk_contacts > 0]
+    rows = [a for a in analyses if a.index_vaccinated is vaccinated]
     return ArmCounts.from_units([a.n_attributed_transmissions for a in rows],
                                 [a.n_at_risk_contacts for a in rows])
 

@@ -1,70 +1,320 @@
-"""Vectorized Monte Carlo oracles for the closed-form estimands.
+"""One vectorized cohort engine for the whole pipeline semantics.
 
-These cohort simulators re-create the pipeline semantics of
-``simulate -> observe -> infer`` with struct-of-arrays numpy code so that
-million-unit validation runs finish in seconds. They are deliberately
-independent of the closed forms in :mod:`sarbias.estimands`: detection is
-realized by drawing actual test phases, transmission by Bernoulli draws,
-and the estimand by pooling attack rates, never by evaluating the
-piecewise algebra being checked.
-
-Two analysis anchors exist:
-
-* reference (prospective) anchor: the unit enters the analysis when the
-  true primary case is detected, arms are the primary's vaccination
-  status, and contacts are ascertained through the same testing process.
-  This is the sampling model the closed-form observed estimands describe.
-* naive anchor: the index is the earliest positive test, as a
-  retrospective database analysis would have it.
-
-The object pipeline covers the general case (community acquisition,
-contact chains, arbitrary filters); these fast paths cover the regimes the
-validation suite needs.
+:func:`run_cohort` runs the model of ``simulate_unit``, ``apply_policy``
+and ``analyze_unit`` over person-major ``(unit_size, n)`` arrays (row 0 is
+the primary), a fixed-size chunk of units at a time, in three steps:
+:func:`simulate_cohort`, :func:`observe_cohort` and :func:`analyze_cohort`.
+It implements every scenario field and reproduces the object pipeline in
+law, not draw for draw: it draws every person's infection attributes and
+every pair's transmission coin up front, which has the same law because no
+coin depends on the order in which infections arrive. It is independent of
+the closed forms in :mod:`sarbias.estimands`, which are checked against it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .infer import ArmCounts, ve_from_arms
-from .params import DurationModelParams, SymptomModelParams
-from .simcore import TransmissionMode
+from .infer import (ArmCounts, StudyDesignFilter, VeRatio, WindowAnchor,
+                    ve_from_arms)
+from .observe import SCHEDULED_KINDS, SYMPTOM_KINDS, PolicyKind, TestingPolicy
+from .simcore import TransmissionMode, UnitConfig
 
-ORACLE_HORIZON_DAYS = 60.0  # the follow-up every oracle sampler assumes
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
+
+# Each arm draws its chunks in order from one stream, so this chunk size is
+# part of what fixes the output bits for a seed.
+COHORT_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
-class McRatio:
-    """Monte Carlo estimate of an observed transmission ratio."""
+class CohortCounts:
+    """Counts of one engine run per arm (``True`` = vaccinated): observed
+    by the index case's status, truth (primary-sourced transmissions over
+    all contacts) by the primary's, and exclusions by (reason, primary's)."""
 
-    mu_ratio: float
-    ve: float
-    se: float
-    arm_v: ArmCounts
-    arm_u: ArmCounts
-    extras: dict
+    observed: dict[bool, ArmCounts]
+    truth: dict[bool, ArmCounts]
+    excluded: Counter
 
-    @classmethod
-    def from_arms(cls, arm_v: ArmCounts, arm_u: ArmCounts,
-                  extras: dict | None = None) -> "McRatio":
-        """Raises :class:`~sarbias.infer.EstimationError` as
-        :func:`~sarbias.infer.ve_from_arms` does."""
-        ratio, ve, se = ve_from_arms(arm_v, arm_u)
-        return cls(mu_ratio=ratio, ve=ve, se=se,
-                   arm_v=arm_v, arm_u=arm_u, extras=extras or {})
+    def __add__(self, other: "CohortCounts") -> "CohortCounts":
+        return CohortCounts(
+            {arm: self.observed[arm] + other.observed[arm] for arm in (True, False)},
+            {arm: self.truth[arm] + other.truth[arm] for arm in (True, False)},
+            self.excluded + other.excluded)
+
+    def observed_ratio(self) -> VeRatio:
+        return ve_from_arms(self.observed[True], self.observed[False])
+
+    def true_ratio(self) -> VeRatio:
+        return ve_from_arms(self.truth[True], self.truth[False])
 
 
-def _transmission_probability(duration: np.ndarray, hazard: float,
-                              transmission: TransmissionMode) -> np.ndarray:
-    if transmission is TransmissionMode.PER_DAY_HAZARD:
-        return np.minimum(duration * hazard, 1.0)
-    if transmission is TransmissionMode.PER_DAY_HAZARD_EXACT:
-        return 1.0 - np.exp(-duration * hazard)
-    raise ValueError("duration oracles need a per-day-hazard transmission "
-                     f"mode, got {transmission}")
+@dataclass
+class CohortTruth:
+    """Truth of ``n`` units, ``(unit_size, n)`` arrays unless noted."""
+
+    vaccinated: np.ndarray           # (unit_size,)
+    acquisition: np.ndarray          # inf where never infected
+    duration: np.ndarray             # test-positivity days, drawn for all
+    onset: Optional[np.ndarray]      # inf where asymptomatic; None: not drawn
+    primary_sourced: np.ndarray      # (unit_size - 1, n), the contacts
+
+
+@dataclass
+class CohortObserved:
+    """What the database sees of each person; None where nothing reads it."""
+
+    first_positive: np.ndarray       # inf where never positive
+    tested: Optional[np.ndarray]
+    reported_onset: Optional[np.ndarray]  # inf where none reported
+
+
+@dataclass
+class CohortAnalysis:
+    """Per-unit outcome; the counts are 0 for excluded units."""
+
+    attributed: np.ndarray
+    at_risk: np.ndarray
+    index: Union[np.ndarray, int]    # row of the index, 0 for the true primary
+    no_index: np.ndarray
+    coprimary: np.ndarray
+
+
+def _rows(values) -> np.ndarray:
+    """Per-person values as a column that broadcasts over units."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def _inf_unless(mask: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``t``, set in place to inf where ``mask`` is False."""
+    np.putmask(t, ~mask, np.inf)
+    return t
+
+
+def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
+                    rng: np.random.Generator, onsets: bool) -> CohortTruth:
+    """Draw the truth of ``n`` units whose primary has the given status.
+
+    Draws, in order and only what the config reads: symptom coins
+    (Bernoulli transmission or ``onsets``), durations, one uniform per
+    (source, contact) pair giving both its coin and its delay (sources: the
+    primary, or everyone with contact-to-contact spread), community arrival
+    times (hazard above 0), and incubation periods of the infected
+    symptomatic (``onsets``). Infection times are first-passage times: the
+    primary's and the community's arrivals, relaxed over contact pairs
+    ``unit_size - 2`` more times.
+    """
+    size, mode = unit.unit_size, unit.transmission_mode
+    s, d = unit.symptom, unit.duration
+    vax = np.full(size, unit.contacts_vaccinated)
+    vax[0] = vaccinated
+    symptomatic = None
+    if mode is TransmissionMode.PER_UNIT_BERNOULLI or onsets:
+        symptomatic = rng.random((size, n)) < _rows(
+            [s.symptomatic_probability(v) for v in vax])
+    duration = rng.random((size, n))
+    duration *= 2.0 * d.c
+    duration += _rows([d.mean_duration(v) - d.c for v in vax])
+
+    # delay[i, j - 1]: from source i's infection to contact j's; inf where
+    # the pair does not transmit.
+    n_sources = size if unit.contact_to_contact else 1
+    delay = rng.random((n_sources, size - 1, n))
+    source_duration = duration[:n_sources, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero p or hazard
+        if mode is TransmissionMode.PER_UNIT_BERNOULLI:
+            p = s.tau * np.where(symptomatic[:n_sources], 1.0, s.delta)
+            p = (p * _rows([s.nu if v else 1.0 for v in vax[:n_sources]]))[:, None]
+            transmits = delay < p
+            delay *= source_duration / p  # U(0, duration) given transmission
+        else:
+            # The pair's clock rings at u / hazard (linear form: inside the
+            # duration with probability duration * hazard, which the
+            # duration model keeps <= 1, then uniform over it) or at the
+            # hazard's first event (exact form).
+            if mode is TransmissionMode.PER_DAY_HAZARD_EXACT:
+                delay = -np.log1p(-delay)
+            delay /= _rows([d.daily_hazard(v) for v in vax[:n_sources]])[:, :, None]
+            transmits = delay < source_duration
+    delay = _inf_unless(transmits, delay)
+
+    acquisition = np.empty((size, n))
+    acquisition[0] = 0.0
+    acquisition[1:] = delay[0]
+    primary_sourced = transmits[0]
+    if unit.community_daily_hazard > 0.0 or unit.contact_to_contact:
+        if unit.community_daily_hazard > 0.0:
+            community = rng.exponential(1.0 / unit.community_daily_hazard,
+                                        (size - 1, n))
+            community[community >= unit.followup_days] = np.inf
+            np.minimum(acquisition[1:], community, out=acquisition[1:])
+        if unit.contact_to_contact:
+            for i in range(1, size):
+                delay[i, i - 1] = np.inf  # no self-infection
+            for _ in range(size - 2):
+                for i in range(1, size):
+                    np.minimum(acquisition[1:], acquisition[i] + delay[i],
+                               out=acquisition[1:])
+        primary_sourced = primary_sourced & (acquisition[1:] == delay[0])
+
+    onset = None
+    if onsets:
+        sick = symptomatic & (acquisition < np.inf)
+        sd = unit.incubation_log_sd
+        mu = math.log(unit.incubation_mean_days) - 0.5 * sd * sd
+        onset = np.full((size, n), np.inf)
+        onset[sick] = acquisition[sick] + rng.lognormal(mu, sd, int(sick.sum()))
+    return CohortTruth(vax, acquisition, duration, onset, primary_sourced)
+
+
+def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
+                   design: StudyDesignFilter,
+                   rng: np.random.Generator) -> CohortObserved:
+    """Apply the testing policy, as ``apply_policy`` does. Draws
+    participation (below 1 only), then random schedule phases (one per
+    unit when shared, else one per person); keeps tested flags and
+    reported onsets only where ``design`` reads them."""
+    acquisition = truth.acquisition
+    shape = acquisition.shape
+    tested = np.zeros(shape, dtype=bool) if design.require_contact_tested else None
+    reported_onset = None
+    if policy.kind is PolicyKind.NO_TESTING:
+        return CohortObserved(np.full(shape, np.inf), tested, reported_onset)
+    participates = None  # everyone
+    if policy.participation < 1.0:
+        participates = rng.random(shape) < policy.participation
+    positive_until = acquisition + truth.duration
+
+    if policy.kind in SYMPTOM_KINDS:
+        t = truth.onset + policy.delay_days
+        symptom_test = t <= policy.horizon_days
+        if participates is not None:
+            symptom_test &= participates
+        first_positive = _inf_unless(symptom_test & (t < positive_until), t)
+        if tested is not None:
+            tested |= symptom_test
+        if design.anchor is WindowAnchor.ONSET_TIME:
+            reported_onset = np.where(symptom_test, truth.onset, np.inf)
+
+    if policy.kind in SCHEDULED_KINDS:
+        k = policy.interval_days
+        phase = policy.fixed_phase
+        if phase is None:
+            phase = rng.random(shape[1] if policy.shared_phase else shape)
+            phase *= k
+        # First slot phase + j * k at or after acquisition (j >= 0, as the
+        # phase lies in [0, k)); slot j exists while j <= (horizon - phase) / k.
+        slot = acquisition - phase
+        slot /= k
+        np.ceil(slot, out=slot)
+        last_slot = policy.horizon_days - phase
+        last_slot /= k
+        positive = slot <= last_slot
+        slot *= k
+        slot += phase
+        positive &= slot < positive_until
+        if participates is not None:
+            positive &= participates
+        scheduled = _inf_unless(positive, slot)
+        first_positive = (scheduled if policy.kind is PolicyKind.SCHEDULED
+                          else np.minimum(first_positive, scheduled))
+        if tested is not None:
+            has_slots = last_slot >= 0.0
+            tested |= has_slots if participates is None else has_slots & participates
+    return CohortObserved(first_positive, tested, reported_onset)
+
+
+def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
+                   index_rule: str) -> CohortAnalysis:
+    """Index, exclusions and per-unit counts, as ``analyze_unit`` does
+    (``true_primary`` anchors on row 0, as its ``index_id`` override)."""
+    first_positive = obs.first_positive
+    size, n = first_positive.shape
+    if index_rule == "true_primary":
+        index, first = 0, first_positive[0]
+    else:
+        first = first_positive.min(axis=0)
+        index = np.zeros(n, dtype=np.intp)
+        for i in range(size - 1, -1, -1):  # ties go to the lowest id
+            index[first_positive[i] == first] = i
+    no_index = first == np.inf
+
+    coprimary = np.zeros(n, dtype=bool)
+    if design.coprimary_exclusion_days is not None:
+        # Two positive dates within the limit, as sorted dates' gaps show.
+        dates = np.floor(first_positive)
+        with np.errstate(invalid="ignore"):  # inf - inf between two misses
+            for i in range(1, size):
+                gaps = np.abs(dates[:i] - dates[i])
+                coprimary |= (gaps <= design.coprimary_exclusion_days).any(axis=0)
+        coprimary &= ~no_index
+
+    events, anchor = first_positive, first
+    if design.anchor is WindowAnchor.ONSET_TIME and obs.reported_onset is not None:
+        events = np.where((obs.reported_onset < np.inf) & (first_positive < np.inf),
+                          obs.reported_onset, first_positive)
+        anchor = np.take_along_axis(events, np.broadcast_to(index, (1, n)), 0)[0]
+    # Everyone but the index is a contact; the index's own lag is 0.
+    lo, hi = design.attribution_window
+    own = int(lo <= 0.0 <= hi)
+    if index_rule == "true_primary":
+        events, own = events[1:], 0
+    with np.errstate(invalid="ignore"):  # inf - inf in units without index
+        lag = events - anchor
+    in_window = ((lag >= lo) & (lag <= hi)).sum(axis=0) - own
+    at_risk = (obs.tested.sum(axis=0) - 1  # the index has a positive test
+               if design.require_contact_tested else size - 1)
+    analysed = ~(no_index | coprimary)
+    return CohortAnalysis(np.where(analysed, in_window, 0),
+                          np.where(analysed, at_risk, 0),
+                          index, no_index, coprimary)
+
+
+def _count(truth: CohortTruth, analysis: CohortAnalysis,
+           vaccinated: bool) -> CohortCounts:
+    attributed, at_risk = analysis.attributed, analysis.at_risk
+    index_vaccinated = truth.vaccinated[analysis.index]  # per unit, or one
+    observed = {}
+    for arm in (True, False):
+        mine = index_vaccinated == arm
+        if np.ndim(mine):
+            attributed_arm, at_risk_arm = attributed[mine], at_risk[mine]
+        else:
+            attributed_arm, at_risk_arm = (attributed, at_risk) if mine else ([], 0)
+        observed[arm] = ArmCounts.from_units(attributed_arm, at_risk_arm)
+    truth_arms = {not vaccinated: ArmCounts.from_units([], 0),
+                  vaccinated: ArmCounts.from_units(
+                      truth.primary_sourced.sum(axis=0), len(truth.vaccinated) - 1)}
+    excluded = Counter({("no_index", vaccinated): int(analysis.no_index.sum()),
+                        ("coprimary", vaccinated): int(analysis.coprimary.sum())})
+    return CohortCounts(observed, truth_arms, excluded)
+
+
+def run_cohort(cfg: "ScenarioConfig", units_per_arm: int,
+               rng: np.random.Generator) -> CohortCounts:
+    """``units_per_arm`` units per arm of the scenario's base config, the
+    vaccinated arm first, each in chunks of :data:`COHORT_CHUNK` units
+    drawn in order from ``rng``."""
+    if units_per_arm < 1:
+        raise ValueError(f"units_per_arm must be >= 1, got {units_per_arm}")
+    onsets = cfg.policy.kind in SYMPTOM_KINDS
+    total = None
+    for vaccinated in (True, False):
+        for start in range(0, units_per_arm, COHORT_CHUNK):
+            n = min(COHORT_CHUNK, units_per_arm - start)
+            truth = simulate_cohort(cfg.unit, vaccinated, n, rng, onsets)
+            obs = observe_cohort(truth, cfg.policy, cfg.design, rng)
+            counts = _count(truth, analyze_cohort(obs, cfg.design, cfg.index_rule),
+                            vaccinated)
+            total = counts if total is None else total + counts
+    return total
 
 
 def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
@@ -80,201 +330,3 @@ def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
     offsets = rng.uniform(0.0, interval_k, n)
     f = float(np.mean(offsets < durations))
     return f, math.sqrt(f * (1.0 - f) / n)
-
-
-def mc_infrequent_observed(d: DurationModelParams, interval_k: float,
-                           units_per_arm: int, rng: np.random.Generator,
-                           contacts_per_unit: int = 1,
-                           transmission: TransmissionMode = (
-                               TransmissionMode.PER_DAY_HAZARD)) -> McRatio:
-    """Cohort oracle for the observed ratio under testing every ``k`` days.
-
-    Reference anchor: a unit is sampled when its primary case is detected
-    by the realized schedule; contacts count as attributed when truly
-    infected and themselves detected (an arm-symmetric thinning). Extras
-    carry the per-arm detection fractions and unconditional per-contact
-    transmission fractions with their standard errors, for the
-    detection-fraction and duration-model bridges.
-    """
-    arms = {}
-    extras: dict = {}
-    m = contacts_per_unit
-    for vaccinated, label in ((True, "v"), (False, "u")):
-        rho = d.mean_duration(vaccinated)
-        hazard = d.daily_hazard(vaccinated)
-        dur_p = rng.uniform(rho - d.c, rho + d.c, units_per_arm)
-        offset_p = rng.uniform(0.0, interval_k, units_per_arm)
-        sampled = offset_p < dur_p
-
-        p_t = _transmission_probability(dur_p, hazard, transmission)
-        transmitted = rng.random((units_per_arm, m)) < p_t[:, None]
-        # Contacts are unvaccinated and observed via the same schedule.
-        dur_c = rng.uniform(d.rho0 - d.c, d.rho0 + d.c, (units_per_arm, m))
-        offset_c = rng.uniform(0.0, interval_k, (units_per_arm, m))
-        detected_c = offset_c < dur_c
-
-        attributed = (transmitted & detected_c)[sampled].sum(axis=1)
-        arms[vaccinated] = ArmCounts.from_units(attributed, m)
-
-        f = float(sampled.mean())
-        extras[f"detection_fraction_{label}"] = f
-        extras[f"detection_fraction_se_{label}"] = math.sqrt(
-            max(f * (1.0 - f), 1e-300) / units_per_arm)
-        pt_hat = float(transmitted.mean())
-        extras[f"p_transmit_{label}"] = pt_hat
-        extras[f"p_transmit_se_{label}"] = math.sqrt(
-            max(pt_hat * (1.0 - pt_hat), 1e-300) / (units_per_arm * m))
-
-    return McRatio.from_arms(arms[True], arms[False], extras)
-
-
-def mc_symptom_prompted_ve(s: SymptomModelParams, d: DurationModelParams,
-                           units_per_arm: int, rng: np.random.Generator,
-                           contacts_per_unit: int = 3,
-                           incubation_mean_days: float = 6.0,
-                           incubation_log_sd: float = 0.5,
-                           window: tuple[float, float] | None = None) -> McRatio:
-    """Cohort oracle for the symptom-prompted testing pipeline.
-
-    Reference anchor: a unit is sampled when the primary is symptomatic
-    and its onset test comes back positive (onset inside the positivity
-    window). Contacts are attributed when truly infected, symptomatic,
-    positive at their own onset test, and (when ``window`` is given)
-    inside the attribution window relative to the primary's test. Extras
-    carry the true VE on the same cohort for the target-estimand bridge.
-    """
-    mu_log = math.log(incubation_mean_days) - 0.5 * incubation_log_sd ** 2
-    m = contacts_per_unit
-    arms = {}
-    true_arms = {}
-    for vaccinated in (True, False):
-        rho_dur = d.mean_duration(vaccinated)
-        symptomatic_p = rng.random(units_per_arm) < s.symptomatic_probability(vaccinated)
-        dur_p = rng.uniform(rho_dur - d.c, rho_dur + d.c, units_per_arm)
-        inc_p = rng.lognormal(mu_log, incubation_log_sd, units_per_arm)
-        sampled = symptomatic_p & (inc_p < dur_p)
-
-        p_t = s.tau * np.where(symptomatic_p, 1.0, s.delta)
-        if vaccinated:
-            p_t = p_t * s.nu
-        transmitted = rng.random((units_per_arm, m)) < p_t[:, None]
-
-        # Contact ascertainment: unvaccinated contacts, symptom-prompted.
-        symptomatic_c = rng.random((units_per_arm, m)) < s.rho_symptom
-        dur_c = rng.uniform(d.rho0 - d.c, d.rho0 + d.c, (units_per_arm, m))
-        inc_c = rng.lognormal(mu_log, incubation_log_sd, (units_per_arm, m))
-        positive_c = transmitted & symptomatic_c & (inc_c < dur_c)
-
-        if window is not None:
-            acq_c = rng.uniform(0.0, 1.0, (units_per_arm, m)) * dur_p[:, None]
-            lag = acq_c + inc_c - inc_p[:, None]
-            lo, hi = window
-            positive_c = positive_c & (lag >= lo) & (lag <= hi)
-
-        attributed = positive_c[sampled].sum(axis=1)
-        arms[vaccinated] = ArmCounts.from_units(attributed, m)
-        true_arms[vaccinated] = ArmCounts.from_units(transmitted.sum(axis=1), m)
-
-    true_ratio = McRatio.from_arms(true_arms[True], true_arms[False])
-    extras = {"true_ve": true_ratio.ve, "true_ve_se": true_ratio.se}
-    return McRatio.from_arms(arms[True], arms[False], extras)
-
-
-@dataclass(frozen=True)
-class NaiveVsTrue:
-    """Naive estimator and same-cohort truth for the fully observed regime."""
-
-    ve_naive: float
-    se_naive: float
-    ve_true: float
-    se_true: float
-    n_units_no_positive: int
-
-    @property
-    def difference(self) -> float:
-        return self.ve_naive - self.ve_true
-
-
-def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
-                            units_per_arm: int, rng: np.random.Generator,
-                            contacts_per_unit: int = 3,
-                            shared_phase: bool = True,
-                            window: tuple[float, float] = (
-                                0.0, ORACLE_HORIZON_DAYS),
-                            transmission: TransmissionMode = (
-                                TransmissionMode.PER_DAY_HAZARD)) -> NaiveVsTrue:
-    """Naive earliest-positive analysis of a scheduled-testing cohort.
-
-    The index is the member with the earliest first positive test over an
-    ``ORACLE_HORIZON_DAYS`` horizon, ties resolved in favor of the primary
-    (exact slot ties arise only under a shared phase). Arms follow the
-    index's vaccination status, so a contact detected before the primary
-    migrates the unit to the unvaccinated arm, exactly as in a registry
-    analysis. With ``shared_phase`` the whole unit tests on the same
-    schedule and first-positive order matches acquisition order, which
-    makes the naive analysis coincide with the truth when every infection
-    is detected.
-    """
-    m = contacts_per_unit
-    k = interval_k
-    lo, hi = window
-    pooled: dict[bool, list[np.ndarray]] = {True: [], False: []}
-    true_arms = {}
-    n_no_positive = 0
-    for vaccinated in (True, False):
-        rho = d.mean_duration(vaccinated)
-        hazard = d.daily_hazard(vaccinated)
-        n = units_per_arm
-        dur = np.empty((n, m + 1))
-        acq = np.zeros((n, m + 1))
-        dur[:, 0] = rng.uniform(rho - d.c, rho + d.c, n)
-        p_t = _transmission_probability(dur[:, 0], hazard, transmission)
-        transmitted = rng.random((n, m)) < p_t[:, None]
-        acq[:, 1:] = rng.uniform(0.0, 1.0, (n, m)) * dur[:, 0][:, None]
-        dur[:, 1:] = rng.uniform(d.rho0 - d.c, d.rho0 + d.c, (n, m))
-        infected = np.concatenate(
-            [np.ones((n, 1), dtype=bool), transmitted], axis=1)
-
-        if shared_phase:
-            phase = np.repeat(rng.uniform(0.0, k, n)[:, None], m + 1, axis=1)
-        else:
-            phase = rng.uniform(0.0, k, (n, m + 1))
-        # First test slot at or after acquisition; identical slots give
-        # bit-identical times, so argmin ties resolve to the primary.
-        slot = np.ceil((acq - phase) / k)
-        first_test = phase + slot * k
-        detected = (infected & (first_test - acq < dur)
-                    & (first_test <= ORACLE_HORIZON_DAYS))
-        times = np.where(detected, first_test, np.inf)
-
-        idx = np.argmin(times, axis=1)
-        rows = np.arange(n)
-        t_index = times[rows, idx]
-        analyzed = np.isfinite(t_index)
-        n_no_positive += int(n - analyzed.sum())
-
-        # Zero anchor for unanalyzed rows avoids inf - inf; those rows are
-        # masked out of the pooled counts below.
-        anchor = np.where(analyzed, t_index, 0.0)
-        lag = times - anchor[:, None]
-        in_window = np.isfinite(times) & (lag >= lo) & (lag <= hi)
-        in_window[rows, idx] = False
-        attributed = in_window.sum(axis=1)
-
-        # Contacts are unvaccinated, so a contact-indexed unit lands in
-        # the unvaccinated arm regardless of its primary's arm.
-        index_is_primary = idx == 0
-        arm_of_unit = np.where(index_is_primary, vaccinated, False)
-        for arm in (True, False):
-            mask = analyzed & (arm_of_unit == arm)
-            pooled[arm].append(attributed[mask])
-
-        true_arms[vaccinated] = ArmCounts.from_units(transmitted.sum(axis=1), m)
-
-    arm_counts = {arm: ArmCounts.from_units(np.concatenate(parts), m)
-                  for arm, parts in pooled.items()}
-    naive = McRatio.from_arms(arm_counts[True], arm_counts[False])
-    truth = McRatio.from_arms(true_arms[True], true_arms[False])
-    return NaiveVsTrue(ve_naive=naive.ve, se_naive=naive.se,
-                       ve_true=truth.ve, se_true=truth.se,
-                       n_units_no_positive=n_no_positive)

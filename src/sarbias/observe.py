@@ -194,8 +194,8 @@ class ObservedUnit:
         return self.first_positive[person_id]
 
 
-_SYMPTOM_KINDS = (PolicyKind.SYMPTOM_PROMPTED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
-_SCHEDULED_KINDS = (PolicyKind.SCHEDULED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
+SYMPTOM_KINDS = (PolicyKind.SYMPTOM_PROMPTED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
+SCHEDULED_KINDS = (PolicyKind.SCHEDULED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
 
 
 def _positive_at(inf: Optional[Infection], t: float) -> bool:
@@ -207,7 +207,7 @@ def _positive_at(inf: Optional[Infection], t: float) -> bool:
 def _symptom_tests(truth: UnitTruth, policy: TestingPolicy,
                    participates: list[bool]) -> Iterator[tuple[Infection, float]]:
     """(infection, test time) of each symptom-prompted test."""
-    if policy.kind not in _SYMPTOM_KINDS:
+    if policy.kind not in SYMPTOM_KINDS:
         return
     for inf in truth.infections:
         if not inf.symptomatic or not participates[inf.person_id]:
@@ -309,7 +309,7 @@ def apply_policy(truth: UnitTruth, policy: TestingPolicy,
             first_positive[pid] = t
 
     phases = None
-    if policy.kind in _SCHEDULED_KINDS:
+    if policy.kind in SCHEDULED_KINDS:
         k = policy.interval_days
         phases = _draw_phases(policy, participates, rng)
         n_slots = [0 if phase is None else _n_scheduled(policy, phase)

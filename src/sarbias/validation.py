@@ -1,11 +1,11 @@
 """Oracle-versus-analytic validation suite.
 
-Every closed form in :mod:`sarbias.estimands` is checked against a seeded
-Monte Carlo oracle that realizes the same sampling process by brute force.
-A check passes when the simulated value sits within three Monte Carlo
-standard errors of the analytic value; the swapped-branch negative control
-passes when the oracle *rejects* it at three standard errors for at least
-one interior testing interval.
+Every closed form in :mod:`sarbias.estimands` is checked against the
+seeded cohort engine of :mod:`sarbias.mc` on a config that realizes the
+closed form's sampling process. A check passes when the simulated value
+sits within three Monte Carlo standard errors of the analytic value; the
+swapped-branch negative control passes when the oracle *rejects* it at
+three standard errors for at least one interior testing interval.
 """
 
 from __future__ import annotations
@@ -13,13 +13,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import estimands
-from .harness import _parallel_map, spawn_rng
-from .mc import (mc_detection_fraction, mc_fully_observed_naive,
-                 mc_infrequent_observed, mc_symptom_prompted_ve)
+from .harness import (ScenarioConfig, _parallel_map, scheduled_reference,
+                      spawn_rng, symptom_reference)
+from .infer import StudyDesignFilter
+from .mc import CohortCounts, mc_detection_fraction, run_cohort
+from .observe import TestingPolicy
 from .params import DurationModelParams, SymptomModelParams
+from .simcore import TransmissionMode, UnitConfig
 
 PIECEWISE_K_GRID = (1.0, 3.0, 7.0, 10.0, 14.0, 21.0, 25.0)
+
+
+# The checks' three reference cohorts, each the cohort engine on a config.
+
+def mc_infrequent_observed(d: DurationModelParams, interval_k: float,
+                           units_per_arm: int, rng: np.random.Generator,
+                           transmission: TransmissionMode = (
+                               TransmissionMode.PER_DAY_HAZARD)) -> CohortCounts:
+    return run_cohort(scheduled_reference(d, interval_k, transmission),
+                      units_per_arm, rng)
+
+
+def mc_symptom_prompted_ve(s: SymptomModelParams, d: DurationModelParams,
+                           units_per_arm: int,
+                           rng: np.random.Generator) -> CohortCounts:
+    return run_cohort(symptom_reference(s, d), units_per_arm, rng)
+
+
+def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
+                            units_per_arm: int, rng: np.random.Generator,
+                            shared_phase: bool = True) -> CohortCounts:
+    """Units of four tested every ``interval_k`` days (one phase per unit
+    when shared), analysed from the earliest positive over the window
+    (0, 60); under daily synchronized testing this analysis is the truth."""
+    cfg = ScenarioConfig(
+        unit=UnitConfig(duration=d,
+                        transmission_mode=TransmissionMode.PER_DAY_HAZARD),
+        policy=TestingPolicy.scheduled(interval_k, shared_phase=shared_phase),
+        design=StudyDesignFilter(attribution_window=(0.0, 60.0)))
+    return run_cohort(cfg, units_per_arm, rng)
 
 
 @dataclass(frozen=True)
@@ -58,7 +93,7 @@ def check_piecewise_interval(d: DurationModelParams, k: float,
     requires an outright rejection at one interior interval or more.
     """
     rng = spawn_rng(seed, *rng_key)
-    mc = mc_infrequent_observed(d, k, units_per_arm, rng)
+    mc = mc_infrequent_observed(d, k, units_per_arm, rng).observed_ratio()
     analytic = estimands.infrequent_observed_mu(k, d)
     swapped = (estimands.infrequent_observed_component_swapped(k, d.rho1, d.c, d.tau1)
                / estimands.infrequent_observed_component_swapped(k, d.rho0, d.c, d.tau0))
@@ -119,8 +154,8 @@ def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
     # Tail independence: the observed ratio stops moving once the interval
     # exceeds the longest duration.
     rng = spawn_rng(seed, 20)
-    mc25 = mc_infrequent_observed(d, 25.0, units_per_arm, rng)
-    mc30 = mc_infrequent_observed(d, 30.0, units_per_arm, rng)
+    mc25 = mc_infrequent_observed(d, 25.0, units_per_arm, rng).observed_ratio()
+    mc30 = mc_infrequent_observed(d, 30.0, units_per_arm, rng).observed_ratio()
     se_diff = math.hypot(mc25.se, mc30.se)
     results.append(_zcheck("tail independence, k=25 vs k=30",
                            mc25.mu_ratio, mc30.mu_ratio, se_diff,
@@ -128,7 +163,7 @@ def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
 
     # Daily testing anchor: at k = 1 the observed ratio is the target.
     rng = spawn_rng(seed, 21)
-    mc1 = mc_infrequent_observed(d, 1.0, units_per_arm, rng)
+    mc1 = mc_infrequent_observed(d, 1.0, units_per_arm, rng).observed_ratio()
     results.append(_zcheck("daily-testing anchor, k=1",
                            estimands.infrequent_target_mu(d), mc1.mu_ratio,
                            mc1.se))
@@ -137,11 +172,12 @@ def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
     # hazard times mean duration, per arm.
     rng = spawn_rng(seed, 22)
     bridge = mc_infrequent_observed(d, 10.0, units_per_arm, rng)
-    for label, rho, tau in (("v", d.rho1, d.tau1), ("u", d.rho0, d.tau0)):
+    for label, arm, rho, tau in (("v", True, d.rho1, d.tau1),
+                                 ("u", False, d.rho0, d.tau0)):
+        truth = bridge.truth[arm]  # one contact per unit: binomial SE
         results.append(_zcheck(
             f"per-contact transmission, arm {label}", tau * rho,
-            bridge.extras[f"p_transmit_{label}"],
-            bridge.extras[f"p_transmit_se_{label}"]))
+            truth.sar, math.sqrt(truth.sar_variance)))
 
     # Detection bridge: realized schedule detection equals the sampling
     # fraction, per arm and interval.
@@ -156,21 +192,21 @@ def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
     # Symptom-prompted pipeline: the naive estimate converges to 1 - nu
     # while the same cohort's true VE matches the target estimand.
     rng = spawn_rng(seed, 24)
-    sp = mc_symptom_prompted_ve(s, d, units_per_arm, rng)
+    cohort = mc_symptom_prompted_ve(s, d, units_per_arm, rng)
+    sp, truth = cohort.observed_ratio(), cohort.true_ratio()
     results.append(_zcheck("symptom-prompted pipeline VE", 1.0 - s.nu,
                            sp.ve, sp.se))
     results.append(_zcheck(
         "true VE equals target estimand",
-        1.0 - estimands.symptom_prompted_target_mu(s),
-        sp.extras["true_ve"], sp.extras["true_ve_se"]))
+        1.0 - estimands.symptom_prompted_target_mu(s), truth.ve, truth.se))
 
     # Fully observed regime: synchronized daily testing, naive analysis
     # matches the same cohort's truth.
     rng = spawn_rng(seed, 25)
-    fo = mc_fully_observed_naive(d, 1.0, units_per_arm, rng)
+    cohort = mc_fully_observed_naive(d, 1.0, units_per_arm, rng)
+    naive, truth = cohort.observed_ratio(), cohort.true_ratio()
     results.append(_zcheck("fully observed naive vs truth",
-                           fo.ve_true, fo.ve_naive,
-                           max(fo.se_naive, 1e-12),
+                           truth.ve, naive.ve, max(naive.se, 1e-12),
                            note="synchronized daily testing"))
     return results
 

@@ -16,13 +16,13 @@ from sarbias import (DurationModelParams, Infection, Person, SourceKind,
                      StudyDesignFilter, SymptomModelParams, TestRecord,
                      TestingPolicy, analyze_unit, apply_policy, identify_index,
                      infrequent_observed_mu, infrequent_target_mu,
-                     invert_target_to_nu, mc_fully_observed_naive,
-                     mc_infrequent_observed, mc_symptom_prompted_ve,
-                     symptom_prompted_target_mu)
+                     invert_target_to_nu, symptom_prompted_target_mu)
 from sarbias.estimands import infrequent_observed_component_swapped
 from sarbias.harness import rows_to_csv, spawn_rng, sweep_figure_1b_a1
 from sarbias.observe import ObservedUnit
 from sarbias.simcore import UnitTruth
+from sarbias.validation import (mc_fully_observed_naive, mc_infrequent_observed,
+                                mc_symptom_prompted_ve)
 
 SEED = 20260808
 UNITS = 1_000_000
@@ -41,7 +41,8 @@ def report(criterion, passed, detail):
 def piecewise_grid():
     """Shared million-unit oracle runs over the testing-interval grid."""
     start = time.monotonic()
-    runs = {k: mc_infrequent_observed(D, k, UNITS, spawn_rng(SEED, 4, i))
+    runs = {k: mc_infrequent_observed(D, k, UNITS,
+                                      spawn_rng(SEED, 4, i)).observed_ratio()
             for i, k in enumerate(K_GRID)}
     return runs, time.monotonic() - start
 
@@ -115,8 +116,10 @@ def test_criterion_04_piecewise_arbitration(piecewise_grid):
 def test_criterion_05_tail_independence():
     analytic_25 = infrequent_observed_mu(25.0, D)
     analytic_30 = infrequent_observed_mu(30.0, D)
-    mc25 = mc_infrequent_observed(D, 25.0, UNITS, spawn_rng(SEED, 5, 0))
-    mc30 = mc_infrequent_observed(D, 30.0, UNITS, spawn_rng(SEED, 5, 1))
+    mc25 = mc_infrequent_observed(D, 25.0, UNITS,
+                                  spawn_rng(SEED, 5, 0)).observed_ratio()
+    mc30 = mc_infrequent_observed(D, 30.0, UNITS,
+                                  spawn_rng(SEED, 5, 1)).observed_ratio()
     se = math.hypot(mc25.se, mc30.se)
     z = abs(mc25.mu_ratio - mc30.mu_ratio) / se
     ok = analytic_25 == analytic_30 and z <= 3.0
@@ -140,7 +143,7 @@ def test_criterion_06_daily_testing_anchor(piecewise_grid):
 
 
 def test_criterion_07_symptom_prompted_pipeline():
-    mc = mc_symptom_prompted_ve(S, D, UNITS, spawn_rng(SEED, 7))
+    mc = mc_symptom_prompted_ve(S, D, UNITS, spawn_rng(SEED, 7)).observed_ratio()
     actual_ve = 1.0 - S.nu                              # 0.40
     target_ve = 1.0 - symptom_prompted_target_mu(S)     # 0.56
     z_actual = abs(mc.ve - actual_ve) / mc.se
@@ -212,12 +215,14 @@ def test_criterion_09_filter_semantics():
 
 def test_criterion_10_fully_observed_equivalence():
     fo = mc_fully_observed_naive(D, 1.0, UNITS, spawn_rng(SEED, 10),
-                                 shared_phase=True, window=(0.0, 60.0))
-    z = abs(fo.difference) / fo.se_naive
-    ok = z <= 3.0 and fo.n_units_no_positive == 0
+                                 shared_phase=True)
+    naive, truth = fo.observed_ratio(), fo.true_ratio()
+    difference = naive.ve - truth.ve
+    z = abs(difference) / naive.se
+    ok = z <= 3.0 and sum(fo.excluded.values()) == 0
     report("10 (fully observed equivalence)", ok,
-           f"naive VE = {fo.ve_naive:.6f}, true VE = {fo.ve_true:.6f}, "
-           f"difference = {fo.difference:.2e} ({z:.2f} SE), every unit "
+           f"naive VE = {naive.ve:.6f}, true VE = {truth.ve:.6f}, "
+           f"difference = {difference:.2e} ({z:.2f} SE), every unit "
            "detected")
 
 

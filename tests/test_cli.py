@@ -125,7 +125,8 @@ class TestSweep:
         out = tmp_path / "fig1a.csv"
         rc = main(["sweep", "--figure", "1a", "--units", "5", "--out", str(out)])
         assert rc == 2
-        assert "error: undefined VE" in capsys.readouterr().err
+        assert ("error: insufficient data: no units with at-risk contacts in "
+                "the vaccinated arm") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -135,6 +136,42 @@ class TestSweep:
                    "--threads", threads, "--out", str(out)])
         assert rc == 2
         assert "error: --threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_fields_read(self, tmp_path, capsys):
+        # Keys the sweep reads, and any key at its default value, are fine.
+        config = tmp_path / "sweep.cfg"
+        config.write_text("scenario.seed = 7\nduration.rho0 = 15\n"
+                          "symptom.delta = 0.4\nunit.size = 4\n")
+        out = tmp_path / "fig1b.csv"
+        rc = main(["sweep", "--figure", "1b", "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("lines, fields", [
+        ("unit.size = 8\nunit.contacts_vaccinated = true\n",
+         "unit.unit_size, unit.contacts_vaccinated"),
+        ("policy.kind = scheduled\npolicy.interval_days = 7\n",
+         "policy.kind, policy.interval_days"),
+        ("filter.preset = harris\n",
+         "design.attribution_window, design.coprimary_exclusion_days"),
+        ("scenario.index_rule = true_primary\nscenario.id = mine\n",
+         "scenario_id, index_rule"),
+        ("sweep.axis = symptom.delta\nsweep.grid = 0.25, 0.5\n",
+         "sweep_axis, sweep_grid"),
+    ], ids=["unit", "policy", "filter", "scenario", "sweep"])
+    def test_config_fields_not_read_rejected(self, lines, fields, tmp_path,
+                                             capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("scenario.seed = 7\n" + lines)
+        out = tmp_path / "fig1b.csv"
+        rc = main(["sweep", "--figure", "1b", "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep reads only")
+        assert err.rstrip().endswith("it would ignore " + fields)
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):

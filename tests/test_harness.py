@@ -4,12 +4,11 @@ from dataclasses import replace
 import pytest
 
 from sarbias import ScenarioConfig, parse_config, run_scenario
-from sarbias.harness import (CSV_COLUMNS, ConfigError, apply_axis, fmt12,
-                             mc_oracle, rows_to_csv, sweep_figure_1a,
-                             sweep_figure_1b_a1, write_csv)
-from sarbias.infer import StudyDesignFilter, WindowAnchor
+from sarbias.harness import (CSV_COLUMNS, ConfigError, _analytic_columns,
+                             apply_axis, fmt12, mc_oracle, rows_to_csv,
+                             sweep_figure_1a, sweep_figure_1b_a1, write_csv)
+from sarbias.infer import WindowAnchor
 from sarbias.observe import PolicyKind
-from sarbias.simcore import TransmissionMode
 
 GOOD_CONFIG = """
 # symptom-prompted demonstration scenario
@@ -191,6 +190,63 @@ class TestRunScenario:
         assert row.target_ve == pytest.approx(0.6, abs=1e-12)
 
 
+def _policy(**changes):
+    return lambda c: replace(c, policy=replace(c.policy, **changes))
+
+
+def _design(**changes):
+    return lambda c: replace(c, design=replace(c.design, **changes))
+
+
+def _unit(**changes):
+    return lambda c: replace(c, unit=replace(c.unit, **changes))
+
+
+REFERENCES = [parse_config(GOOD_CONFIG),
+              parse_config(SCHEDULED_CONFIG.replace("= 10", "= 7"))]
+ANALYSIS = [
+    ("index-rule", lambda c: replace(c, index_rule="earliest_positive")),
+    ("window", _design(attribution_window=(-60.0, 14.0))),
+    ("coprimary", _design(coprimary_exclusion_days=2.0)),
+    ("tested-contacts", _design(require_contact_tested=True)),
+    ("anchor", _design(anchor=WindowAnchor.ONSET_TIME)),
+    ("participation", _policy(participation=0.9)),
+    ("horizon", _policy(horizon_days=30.0)),
+]
+
+
+class TestAnalyticColumns:
+    """The closed forms fill a row only where their model holds: the
+    target needs their generative model, the observed VE their analysis
+    too."""
+
+    @pytest.mark.parametrize("cfg", REFERENCES, ids=["symptom", "scheduled"])
+    def test_reference_configs_filled(self, cfg):
+        target, actual = _analytic_columns(cfg)
+        assert not math.isnan(target) and not math.isnan(actual)
+
+    @pytest.mark.parametrize("change", [
+        _unit(community_daily_hazard=0.02), _unit(contact_to_contact=True),
+        _unit(contacts_vaccinated=True),
+    ], ids=["community", "chains", "vaccinated-contacts"])
+    @pytest.mark.parametrize("cfg", REFERENCES, ids=["symptom", "scheduled"])
+    def test_generative_fields_drop_both(self, cfg, change):
+        assert all(math.isnan(v) for v in _analytic_columns(change(cfg)))
+
+    @pytest.mark.parametrize("cfg, change", [
+        pytest.param(cfg, change, id=f"{kind}-{name}")
+        for kind, cfg, extra in (
+            ("symptom", REFERENCES[0], [("delay", _policy(delay_days=1.0))]),
+            ("scheduled", REFERENCES[1],
+             [("shared-phase", _policy(shared_phase=True)),
+              ("fixed-phase", _policy(fixed_phase=0.0))]))
+        for name, change in ANALYSIS + extra])
+    def test_analysis_fields_drop_observed(self, cfg, change):
+        target, actual = _analytic_columns(change(cfg))
+        assert target == _analytic_columns(cfg)[0]
+        assert math.isnan(actual)
+
+
 class TestRngStreamPinned:
     """Pinned CSV bytes of two small scenarios. Any change to how the
     pipeline consumes its random streams changes them, so such a change
@@ -205,7 +261,7 @@ class TestRngStreamPinned:
                 "policy.kind = scheduled\npolicy.interval_days = 7\n"
                 "policy.participation = 0.8\nfilter.preset = harris\n")
         assert rows_to_csv(run_scenario(parse_config(text))) == self.HEADER + (
-            "scheduled_harris,,nan,7,0.5,0.5,0.6,0.54375,0.487202835865,"
+            "scheduled_harris,,nan,7,0.5,0.5,0.6,nan,0.487202835865,"
             "0.0986533937599,500,216,29,1\n")
 
     def test_symptom_lyngse(self):
@@ -214,7 +270,7 @@ class TestRngStreamPinned:
                 "unit.transmission_mode = per_unit_bernoulli\n"
                 "policy.kind = symptom_prompted\nfilter.preset = lyngse\n")
         assert rows_to_csv(run_scenario(parse_config(text))) == self.HEADER + (
-            "symptom_lyngse,,nan,nan,0.5,0.5,0.56,0.4,0.0312925170068,"
+            "symptom_lyngse,,nan,nan,0.5,0.5,0.56,nan,0.0312925170068,"
             "0.314401685123,500,511,9,1\n")
 
 
@@ -226,60 +282,17 @@ class TestMcOracle:
 
     def test_symptom_dispatch_matches_analytic(self):
         cfg = parse_config(GOOD_CONFIG)
-        mc = mc_oracle(cfg, 200_000, seed=5)
+        mc = mc_oracle(cfg, 200_000, seed=5).observed_ratio()
         assert abs(mc.ve - 0.4) <= 3 * mc.se
 
     def test_scheduled_dispatch(self):
         cfg = parse_config(SCHEDULED_CONFIG)
-        mc = mc_oracle(cfg, 200_000, seed=6)
+        mc = mc_oracle(cfg, 200_000, seed=6).observed_ratio()
         from sarbias import infrequent_observed_mu
         assert abs(mc.mu_ratio - infrequent_observed_mu(10.0, cfg.unit.duration)) \
             <= 3 * mc.se
 
-    def test_unsupported_configs_rejected(self):
-        cfg = parse_config(GOOD_CONFIG)
-        with pytest.raises(ValueError, match="community"):
-            mc_oracle(replace(cfg, unit=replace(cfg.unit,
-                                                community_daily_hazard=0.01)),
-                      20_000, seed=1)
-        bad = replace(cfg, unit=replace(
-            cfg.unit, transmission_mode=TransmissionMode.PER_DAY_HAZARD))
-        with pytest.raises(ValueError, match="fast oracle supports"):
-            mc_oracle(bad, 20_000, seed=1)
-
-    def test_contact_tracing_design_rejected(self):
-        # The oracle has no tested-contacts denominator; it used to return
-        # a confident VE far from the object pipeline's for this design.
-        cfg = replace(parse_config(GOOD_CONFIG), design=StudyDesignFilter.eyre())
-        with pytest.raises(ValueError, match="require_contact_tested"):
-            mc_oracle(cfg, 20_000, seed=1)
-
     @pytest.mark.parametrize("field_name, change", [
-        ("index_rule", lambda c: replace(c, index_rule="earliest_positive")),
-        ("design.coprimary_exclusion_days",
-         lambda c: replace(c, design=replace(c.design,
-                                             coprimary_exclusion_days=2.0))),
-        ("design.require_contact_tested",
-         lambda c: replace(c, design=replace(c.design,
-                                             require_contact_tested=True))),
-        ("design.anchor",
-         lambda c: replace(c, design=replace(c.design,
-                                             anchor=WindowAnchor.ONSET_TIME))),
-        ("policy.delay_days",
-         lambda c: replace(c, policy=replace(c.policy, delay_days=1.0))),
-        ("policy.participation",
-         lambda c: replace(c, policy=replace(c.policy, participation=0.9))),
-        ("policy.shared_phase",
-         lambda c: replace(c, policy=replace(c.policy, shared_phase=True))),
-        ("policy.fixed_phase",
-         lambda c: replace(c, policy=replace(c.policy, fixed_phase=1.0))),
-        ("policy.horizon_days",
-         lambda c: replace(c, policy=replace(c.policy, horizon_days=30.0))),
-        ("design.attribution_window",
-         lambda c: replace(c, design=StudyDesignFilter(
-             attribution_window=(2.0, 14.0)))),
-        ("unit.contacts_vaccinated",
-         lambda c: replace(c, unit=replace(c.unit, contacts_vaccinated=True))),
         ("sweep_axis",
          lambda c: replace(c, sweep_axis="policy.interval_days",
                            sweep_grid=(3.0, 7.0))),

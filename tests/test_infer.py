@@ -7,8 +7,7 @@ from sarbias import (EstimationError, Infection, Person, SourceKind,
                      TestingPolicy, UnitAnalysis, UnitConfig, WindowAnchor,
                      analyze_unit, apply_policy, estimate_ve_sar,
                      identify_index, simulate_unit, true_ve_sar)
-from sarbias.infer import ArmCounts
-from sarbias.mc import McRatio
+from sarbias.infer import ArmCounts, ve_from_arms
 from sarbias.observe import ObservedUnit
 from sarbias.simcore import UnitTruth
 
@@ -312,7 +311,7 @@ class TestOneEstimator:
 
         observed = outcome(lambda: estimate_ve_sar(
             [analysis(v, m, a) for v, m, a in units]))
-        oracle = outcome(lambda: McRatio.from_arms(arm(True), arm(False)))
+        oracle = outcome(lambda: ve_from_arms(arm(True), arm(False)))
         truth_ve = outcome(lambda: true_ve_sar(
             [truth(v, m, a) for v, m, a in units]))
         if isinstance(observed, str):

@@ -1,5 +1,6 @@
-"""Vectorized oracle checks, including cross-validation against the
-object-level pipeline on identical scenario semantics."""
+"""Cohort-engine checks on the validation suite's reference cohorts,
+including cross-validation against the object-level pipeline on identical
+scenario semantics."""
 
 import math
 from dataclasses import replace
@@ -11,9 +12,12 @@ from sarbias import (DurationModelParams, StudyDesignFilter, SymptomModelParams,
                      TestingPolicy, TransmissionMode, UnitConfig, analyze_unit,
                      apply_policy, estimate_ve_sar, infrequent_observed_mu,
                      infrequent_target_mu, mc_detection_fraction,
-                     mc_fully_observed_naive, mc_infrequent_observed,
-                     mc_symptom_prompted_ve, sampling_fraction, simulate_unit,
+                     sampling_fraction, simulate_unit,
                      symptom_prompted_target_mu)
+from sarbias.harness import symptom_reference
+from sarbias.mc import run_cohort
+from sarbias.validation import (mc_fully_observed_naive, mc_infrequent_observed,
+                                mc_symptom_prompted_ve)
 
 D = DurationModelParams()
 S = SymptomModelParams()
@@ -41,7 +45,8 @@ class TestCrossValidation:
         est_obj = object_pipeline_reference(
             unit_cfg, TestingPolicy.scheduled(k), StudyDesignFilter.maximal(),
             n_per_arm=15_000, seed=11)
-        mc = mc_infrequent_observed(D, k, 400_000, np.random.default_rng(12))
+        mc = mc_infrequent_observed(D, k, 400_000,
+                                    np.random.default_rng(12)).observed_ratio()
         se = math.hypot(est_obj.se, mc.se)
         assert abs((1.0 - est_obj.ve) - mc.mu_ratio) <= 3 * se
 
@@ -52,7 +57,8 @@ class TestCrossValidation:
         est_obj = object_pipeline_reference(
             unit_cfg, TestingPolicy.symptom_prompted(),
             StudyDesignFilter.maximal(), n_per_arm=15_000, seed=13)
-        mc = mc_symptom_prompted_ve(S, D, 400_000, np.random.default_rng(14))
+        mc = mc_symptom_prompted_ve(S, D, 400_000,
+                                    np.random.default_rng(14)).observed_ratio()
         se = math.hypot(est_obj.se, mc.se)
         assert abs(est_obj.ve - mc.ve) <= 3 * se
 
@@ -73,17 +79,19 @@ class TestDetectionBridge:
 class TestInfrequentOracle:
     def test_transmission_bridge_tau_rho(self):
         mc = mc_infrequent_observed(D, 10.0, 1_000_000, np.random.default_rng(20))
-        for label, rho, tau in (("v", D.rho1, D.tau1), ("u", D.rho0, D.tau0)):
-            p = mc.extras[f"p_transmit_{label}"]
-            se = mc.extras[f"p_transmit_se_{label}"]
+        for arm, rho, tau in ((True, D.rho1, D.tau1), (False, D.rho0, D.tau0)):
+            p = mc.truth[arm].sar
+            se = math.sqrt(mc.truth[arm].sar_variance)
             assert abs(p - tau * rho) <= 3 * se
 
     def test_ratio_matches_closed_form_interior(self):
-        mc = mc_infrequent_observed(D, 10.0, 600_000, np.random.default_rng(21))
+        mc = mc_infrequent_observed(D, 10.0, 600_000,
+                                    np.random.default_rng(21)).observed_ratio()
         assert abs(mc.mu_ratio - infrequent_observed_mu(10.0, D)) <= 3 * mc.se
 
     def test_daily_testing_recovers_target(self):
-        mc = mc_infrequent_observed(D, 1.0, 600_000, np.random.default_rng(22))
+        mc = mc_infrequent_observed(D, 1.0, 600_000,
+                                    np.random.default_rng(22)).observed_ratio()
         assert abs(mc.mu_ratio - infrequent_target_mu(D)) <= 3 * mc.se
 
     def test_exact_transmission_mode_departs_from_linear_form(self):
@@ -91,39 +99,45 @@ class TestInfrequentOracle:
         # exact model sits several standard errors away on the plateau.
         mc = mc_infrequent_observed(
             D, 25.0, 1_000_000, np.random.default_rng(23),
-            transmission=TransmissionMode.PER_DAY_HAZARD_EXACT)
+            transmission=TransmissionMode.PER_DAY_HAZARD_EXACT).observed_ratio()
         assert abs(mc.mu_ratio - infrequent_observed_mu(25.0, D)) > 3 * mc.se
 
     def test_degenerate_arm_raises(self):
         tiny = DurationModelParams(tau0=1e-9)
         with pytest.raises(ValueError, match="undefined VE"):
-            mc_infrequent_observed(tiny, 10.0, 20_000, np.random.default_rng(24))
+            mc_infrequent_observed(tiny, 10.0, 20_000,
+                                   np.random.default_rng(24)).observed_ratio()
 
 
 class TestSymptomOracle:
     def test_recovers_actual_not_target(self):
-        mc = mc_symptom_prompted_ve(S, D, 400_000, np.random.default_rng(30))
+        mc = mc_symptom_prompted_ve(S, D, 400_000,
+                                    np.random.default_rng(30)).observed_ratio()
         assert abs(mc.ve - (1.0 - S.nu)) <= 3 * mc.se
         target_ve = 1.0 - symptom_prompted_target_mu(S)
         assert abs(mc.ve - target_ve) > 3 * mc.se
 
     def test_true_ve_matches_target(self):
-        mc = mc_symptom_prompted_ve(S, D, 400_000, np.random.default_rng(31))
+        truth = mc_symptom_prompted_ve(S, D, 400_000,
+                                       np.random.default_rng(31)).true_ratio()
         target_ve = 1.0 - symptom_prompted_target_mu(S)
-        assert abs(mc.extras["true_ve"] - target_ve) <= 3 * mc.extras["true_ve_se"]
+        assert abs(truth.ve - target_ve) <= 3 * truth.se
 
     def test_window_filter_reduces_attribution(self):
         wide = mc_symptom_prompted_ve(S, D, 100_000, np.random.default_rng(32))
-        narrow = mc_symptom_prompted_ve(S, D, 100_000, np.random.default_rng(32),
-                                        window=(0.0, 4.0))
-        assert narrow.arm_u.attributed < wide.arm_u.attributed
+        narrow = run_cohort(
+            replace(symptom_reference(S, D),
+                    design=StudyDesignFilter(attribution_window=(0.0, 4.0))),
+            100_000, np.random.default_rng(32))
+        assert narrow.observed[False].attributed < wide.observed[False].attributed
 
 
 class TestFullyObservedNaive:
     def test_shared_phase_is_exact(self):
         fo = mc_fully_observed_naive(D, 1.0, 200_000, np.random.default_rng(40))
-        assert fo.n_units_no_positive == 0
-        assert fo.difference == pytest.approx(0.0, abs=1e-15)
+        assert sum(fo.excluded.values()) == 0
+        difference = fo.observed_ratio().ve - fo.true_ratio().ve
+        assert difference == pytest.approx(0.0, abs=1e-15)
 
     def test_independent_phases_bias_upward(self):
         # Contacts occasionally test positive before their primary, moving
@@ -131,4 +145,4 @@ class TestFullyObservedNaive:
         # overshoots the truth.
         fo = mc_fully_observed_naive(D, 1.0, 400_000, np.random.default_rng(41),
                                      shared_phase=False)
-        assert fo.difference > 0
+        assert fo.observed_ratio().ve - fo.true_ratio().ve > 0
