@@ -13,8 +13,7 @@ from .estimands import (DegenerateModelError, InfeasibleTargetError,
                         sampling_fraction, symptom_prompted_actual_mu,
                         symptom_prompted_target_mu)
 from .harness import (ResultRow, ScenarioConfig, load_config, mc_oracle,
-                      parse_config, run_scenario, sweep_figure_1a,
-                      sweep_figure_1b_a1, write_csv)
+                      parse_config, run_scenario, sweep_figure, write_csv)
 from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
                     VESarEstimate, WindowAnchor, analyze_unit,
                     bootstrap_ve_se, estimate_ve_sar, identify_index,
@@ -42,6 +41,6 @@ __all__ = [
     "mc_detection_fraction", "mc_oracle",
     "parse_config", "run_scenario", "run_validation_suite",
     "sample_primary", "sampling_fraction", "simulate_unit",
-    "sweep_figure_1a", "sweep_figure_1b_a1", "symptom_prompted_actual_mu",
+    "sweep_figure", "symptom_prompted_actual_mu",
     "symptom_prompted_target_mu", "true_ve_sar", "write_csv",
 ]

@@ -3,7 +3,8 @@
 Subcommands:
   analytic   evaluate one closed form from flags
   simulate   run one scenario config through the object pipeline, write CSV
-  sweep      reproduce the standard figure sweeps (1a, 1b, a1), write CSV
+  sweep      reproduce a figure sweep (1a, 1b, a1) over reference configs
+             built from the package defaults, write CSV
   validate   run the oracle-vs-analytic suite; exit nonzero on failure
 """
 
@@ -11,22 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 
 from . import estimands, harness, validation
 from .params import DurationModelParams, SymptomModelParams
-from .simcore import UnitConfig
 
 _FORMS = ("symptom-target-mu", "symptom-actual-mu", "invert-nu",
           "infrequent-target-mu", "sampling-fraction",
           "infrequent-observed-component", "infrequent-observed-mu")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="scenario config file")
-    parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--units", type=int, help="override units per arm")
-    parser.add_argument("--out", metavar="PATH", help="override the output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,11 +39,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--tau-v", type=float, default=0.01)
 
     p_sim = sub.add_parser("simulate", help="run one scenario to CSV")
-    _add_common(p_sim)
+    p_sim.add_argument("--config", metavar="PATH", help="scenario config file")
+    p_sim.add_argument("--seed", type=int, help="override the RNG seed")
+    p_sim.add_argument("--units", type=int, help="override units per arm")
+    p_sim.add_argument("--out", metavar="PATH",
+                       help="override the output CSV path")
 
     p_sweep = sub.add_parser("sweep", help="reproduce a figure sweep to CSV")
-    p_sweep.add_argument("--figure", choices=("1a", "1b", "a1"), required=True)
-    _add_common(p_sweep)
+    p_sweep.add_argument("--figure", choices=tuple(harness.FIGURE_GRIDS),
+                         required=True)
+    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--units", type=int, default=0,
+                         help="units per arm for the Monte Carlo columns")
+    p_sweep.add_argument("--out", metavar="PATH", required=True)
     p_sweep.add_argument("--threads", type=int, default=1,
                          help="worker threads for the oracle rows")
 
@@ -122,62 +123,14 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
-def _changed_fields(value, default, prefix: str = "") -> list[str]:
-    """Dotted names of the fields where ``value`` differs from ``default``
-    (a design's ``note`` is a label, not a field the analysis reads)."""
-    if not is_dataclass(value):
-        return [] if value == default else [prefix.rstrip(".")]
-    return [name for f in fields(value) if f.name != "note"
-            for name in _changed_fields(getattr(value, f.name),
-                                        getattr(default, f.name),
-                                        f"{prefix}{f.name}.")]
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     _check_threads(args)
-    symptom = None
-    duration = None
-    seed = args.seed if args.seed is not None else 0
-    units = args.units if args.units is not None else 0
-    out = args.out
-    if args.config:
-        try:
-            cfg = harness.load_config(args.config)
-        except harness.ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        symptom, duration = cfg.unit.symptom, cfg.unit.duration
-        read = harness.ScenarioConfig(
-            unit=UnitConfig(symptom=symptom, duration=duration),
-            units_per_arm=cfg.units_per_arm, seed=cfg.seed,
-            out_path=cfg.out_path)
-        unread = _changed_fields(cfg, read)
-        if unread:
-            print(f"config error: sweep reads only the symptom and duration "
-                  f"parameters, seed, units and output path; it would ignore "
-                  f"{', '.join(unread)}", file=sys.stderr)
-            return 2
-        if args.seed is None:
-            seed = cfg.seed
-        if args.units is None:
-            units = cfg.units_per_arm
-        if out is None:
-            out = cfg.out_path
-    if units < 0:
-        raise ValueError(f"--units must be >= 0, got {units}")
-    if not out:
-        print("no output path: pass --out (or scenario.out in --config)",
-              file=sys.stderr)
-        return 2
-    if args.figure == "1a":
-        rows = harness.sweep_figure_1a(symptom_base=symptom, units_per_arm=units,
-                                       seed=seed, threads=args.threads)
-    else:
-        rows = harness.sweep_figure_1b_a1(
-            duration_base=duration, units_per_arm=units, seed=seed,
-            threads=args.threads, restrict_to_short_intervals=args.figure == "1b")
-    harness.write_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+    if args.units < 0:
+        raise ValueError(f"--units must be >= 0, got {args.units}")
+    rows = harness.sweep_figure(args.figure, units_per_arm=args.units,
+                                seed=args.seed, threads=args.threads)
+    harness.write_csv(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

@@ -154,8 +154,9 @@ _KEY_KINDS = {
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario file. ``scenario.seed`` is
-    mandatory; every other key has a default. Raises :class:`ConfigError`
-    naming the offending key or line."""
+    mandatory; every other key has a default. ``sweep.axis`` must name a
+    float key that takes every ``sweep.grid`` value. Raises
+    :class:`ConfigError` naming the offending key or line."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -240,8 +241,11 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"filter: {exc}") from None
 
+    axis = vals.get("sweep.axis")
+    if axis is not None and _KEY_KINDS.get(axis) != "float":
+        raise ConfigError(f"sweep.axis: {axis!r} is not a float key")
     try:
-        return ScenarioConfig(
+        cfg = ScenarioConfig(
             scenario_id=vals.get("scenario.id", "scenario"),
             unit=unit, policy=policy, design=design,
             units_per_arm=vals.get("scenario.units_per_arm", 10_000),
@@ -253,6 +257,12 @@ def parse_config(text: str) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for value in cfg.sweep_grid if axis else ():
+        try:
+            apply_axis(cfg, axis, value)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.grid: {axis} = {value:g}: {exc}") from None
+    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -461,90 +471,72 @@ def symptom_reference(s: SymptomModelParams,
 
 # --- figure sweeps -----------------------------------------------------------
 
-DEFAULT_FIG1A_DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_FIG1A_TARGETS = tuple(round(0.02 * i, 2) for i in range(51))
-DEFAULT_FIG1B_KS = tuple(float(k) for k in range(1, 15))
-DEFAULT_FIGA1_KS = tuple(float(k) for k in range(1, 31))
-DEFAULT_FIG_TARGETS_DURATION = (0.5, 0.6, 0.7, 0.8, 0.9)
+# One cell per row, in row order: (delta, target VE) for figure 1a and
+# (target VE, interval k) for figures 1b and A1. Figure 1b keeps the
+# intervals below rho1 + c = 15 days, where the interval still changes the
+# observed estimand; A1 extends the axis to the plateau.
+FIGURE_GRIDS = {
+    "1a": tuple((delta, round(0.02 * i, 2))
+                for delta in (0.0, 0.25, 0.5, 0.75, 1.0) for i in range(51)),
+    "1b": tuple((target, float(k)) for target in (0.5, 0.6, 0.7, 0.8, 0.9)
+                for k in range(1, 15)),
+    "a1": tuple((target, float(k)) for target in (0.5, 0.6, 0.7, 0.8, 0.9)
+                for k in range(1, 31)),
+}
 
 
-def sweep_figure_1a(symptom_base: SymptomModelParams | None = None,
-                    deltas: tuple[float, ...] = DEFAULT_FIG1A_DELTAS,
-                    target_ves: tuple[float, ...] = DEFAULT_FIG1A_TARGETS,
-                    units_per_arm: int = 0, seed: int = 0,
-                    threads: int = 1) -> list[ResultRow]:
-    """Target vs observed VE under symptom-prompted testing.
+def _figure_cell(figure: str, cell: tuple[float, float]
+                 ) -> tuple[Optional[ScenarioConfig], dict]:
+    """The reference config of one figure cell, built from the package
+    defaults, and the row's axis columns. The config is ``None`` where no
+    ``nu`` in [0, 1] reaches the target VE."""
+    if figure == "1a":
+        delta, target = cell
+        s = SymptomModelParams()
+        columns = dict(sweep_param="target_ve", sweep_value=target,
+                       delta=delta, one_minus_delta=1.0 - delta,
+                       target_ve=target)
+        try:
+            nu = estimands.invert_target_to_nu(target, s.lambda_symptom,
+                                               delta, s.rho_symptom)
+        except estimands.InfeasibleTargetError:
+            return None, columns
+        return symptom_reference(replace(s, delta=delta, nu=nu)), columns
+    target, k = cell
+    d = DurationModelParams()
+    d = replace(d, nu_daily=(1.0 - target) / d.duration_ratio)
+    return scheduled_reference(d, k), dict(sweep_param="interval_k",
+                                           sweep_value=k, interval_k=k,
+                                           target_ve=target)
 
-    One row per (delta, target VE). The observed analytic VE is
-    ``1 - nu`` with ``nu`` solved from the target; combinations needing
-    ``nu > 1`` are emitted as flagged infeasible rows, not dropped. Rows
-    carry both the target VE and ``1 - delta`` so either can serve as the
-    plotting axis. ``units_per_arm > 0`` adds Monte Carlo columns.
+
+def sweep_figure(figure: str, units_per_arm: int = 0, seed: int = 0,
+                 threads: int = 1) -> list[ResultRow]:
+    """One row per cell of ``FIGURE_GRIDS[figure]``: target VE against the
+    observed VE of the cell's reference config.
+
+    Figure 1a solves ``nu`` from the target VE under symptom-prompted
+    testing; cells needing ``nu > 1`` are emitted as ``feasible = 0`` rows,
+    not dropped. Figures 1b and A1 solve the daily hazard ratio from the
+    target VE under testing every ``k`` days. ``units_per_arm > 0`` adds
+    Monte Carlo columns from the cohort engine, row ``i`` drawing from the
+    stream of ``(seed, i)``, so the bytes do not depend on ``threads``.
     """
-    base = symptom_base or SymptomModelParams()
-    tasks = [(i, delta, target)
-             for i, (delta, target) in enumerate(
-                 (d, t) for d in deltas for t in target_ves)]
+    scenario_id = f"figure_{figure}"
 
     def run_row(args) -> ResultRow:
-        row_index, delta, target = args
-        common = dict(scenario_id="figure_1a", sweep_param="target_ve",
-                      sweep_value=target, delta=delta,
-                      one_minus_delta=1.0 - delta, target_ve=target)
-        try:
-            nu = estimands.invert_target_to_nu(target, base.lambda_symptom,
-                                               delta, base.rho_symptom)
-        except estimands.InfeasibleTargetError:
-            return ResultRow(feasible=0, **common)
-        actual = 1.0 - nu
+        row_index, cell = args
+        cfg, columns = _figure_cell(figure, cell)
+        if cfg is None:
+            return ResultRow(scenario_id, feasible=0, **columns)
+        actual = _analytic_columns(cfg)[1]
         if units_per_arm <= 0:
-            return ResultRow(actual_ve_analytic=actual, **common)
-        cfg = symptom_reference(replace(base, delta=delta, nu=nu))
+            return ResultRow(scenario_id, actual_ve_analytic=actual, **columns)
         mc = run_cohort(cfg, units_per_arm,
                         spawn_rng(seed, row_index)).observed_ratio()
-        return ResultRow(actual_ve_analytic=actual, actual_ve_mc=mc.ve,
-                         mc_se=mc.se, n_units=units_per_arm, **common)
+        return ResultRow(scenario_id, actual_ve_analytic=actual,
+                         actual_ve_mc=mc.ve, mc_se=mc.se,
+                         n_units=units_per_arm, **columns)
 
-    return _parallel_map(run_row, tasks, threads)
-
-
-def sweep_figure_1b_a1(duration_base: DurationModelParams | None = None,
-                       ks: tuple[float, ...] | None = None,
-                       target_ves: tuple[float, ...] = DEFAULT_FIG_TARGETS_DURATION,
-                       units_per_arm: int = 0, seed: int = 0, threads: int = 1,
-                       restrict_to_short_intervals: bool = False) -> list[ResultRow]:
-    """Observed VE as a function of the testing interval.
-
-    One row per (target VE, k). ``restrict_to_short_intervals`` keeps only
-    intervals below the maximum vaccinated-arm duration, the range where
-    the interval still changes the observed estimand. The daily hazard
-    ratio is solved from the target VE; targets below ``1 - rho1/rho0``
-    are emitted as flagged infeasible rows.
-    """
-    base = duration_base or DurationModelParams()
-    if ks is None:
-        ks = DEFAULT_FIG1B_KS if restrict_to_short_intervals else DEFAULT_FIGA1_KS
-    if restrict_to_short_intervals:
-        ks = tuple(k for k in ks if k < base.rho1 + base.c)
-    scenario_id = "figure_1b" if restrict_to_short_intervals else "figure_a1"
-    tasks = [(i, target, k)
-             for i, (target, k) in enumerate(
-                 (t, k) for t in target_ves for k in ks)]
-
-    def run_row(args) -> ResultRow:
-        row_index, target, k = args
-        common = dict(scenario_id=scenario_id, sweep_param="interval_k",
-                      sweep_value=k, interval_k=k, target_ve=target)
-        nu_daily = (1.0 - target) / base.duration_ratio
-        if nu_daily > 1.0:
-            return ResultRow(feasible=0, **common)
-        d = replace(base, nu_daily=nu_daily)
-        actual = 1.0 - estimands.infrequent_observed_mu(k, d)
-        if units_per_arm <= 0:
-            return ResultRow(actual_ve_analytic=actual, **common)
-        mc = run_cohort(scheduled_reference(d, k), units_per_arm,
-                        spawn_rng(seed, row_index)).observed_ratio()
-        return ResultRow(actual_ve_analytic=actual, actual_ve_mc=mc.ve,
-                         mc_se=mc.se, n_units=units_per_arm, **common)
-
-    return _parallel_map(run_row, tasks, threads)
+    return _parallel_map(run_row, list(enumerate(FIGURE_GRIDS[figure])),
+                         threads)

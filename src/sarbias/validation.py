@@ -119,12 +119,10 @@ def check_piecewise_interval(d: DurationModelParams, k: float,
 
 
 def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
-                         threads: int = 1,
-                         symptom: SymptomModelParams | None = None,
-                         duration: DurationModelParams | None = None) -> list[CheckResult]:
-    """All oracle-vs-analytic bridge checks at the given replication size."""
-    s = symptom or SymptomModelParams()
-    d = duration or DurationModelParams()
+                         threads: int = 1) -> list[CheckResult]:
+    """All oracle-vs-analytic bridge checks at the given replication size,
+    at the package's default parameters."""
+    s, d = SymptomModelParams(), DurationModelParams()
     results: list[CheckResult] = []
 
     # Piecewise observed ratio across the testing-interval grid, with the

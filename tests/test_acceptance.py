@@ -18,7 +18,7 @@ from sarbias import (DurationModelParams, Infection, Person, SourceKind,
                      infrequent_observed_mu, infrequent_target_mu,
                      invert_target_to_nu, symptom_prompted_target_mu)
 from sarbias.estimands import infrequent_observed_component_swapped
-from sarbias.harness import rows_to_csv, spawn_rng, sweep_figure_1b_a1
+from sarbias.harness import rows_to_csv, spawn_rng, sweep_figure
 from sarbias.observe import ObservedUnit
 from sarbias.simcore import UnitTruth
 from sarbias.validation import (mc_fully_observed_naive, mc_infrequent_observed,
@@ -227,11 +227,10 @@ def test_criterion_10_fully_observed_equivalence():
 
 
 def test_criterion_11_determinism(tmp_path):
-    kwargs = dict(units_per_arm=50_000, seed=SEED, target_ves=(0.5, 0.7),
-                  ks=(1.0, 7.0, 14.0))
-    csv_a = rows_to_csv(sweep_figure_1b_a1(threads=1, **kwargs))
-    csv_b = rows_to_csv(sweep_figure_1b_a1(threads=1, **kwargs))
-    csv_c = rows_to_csv(sweep_figure_1b_a1(threads=8, **kwargs))
+    kwargs = dict(units_per_arm=50_000, seed=SEED)
+    csv_a = rows_to_csv(sweep_figure("1b", threads=1, **kwargs))
+    csv_b = rows_to_csv(sweep_figure("1b", threads=1, **kwargs))
+    csv_c = rows_to_csv(sweep_figure("1b", threads=8, **kwargs))
     path_a, path_c = tmp_path / "a.csv", tmp_path / "c.csv"
     path_a.write_text(csv_a, encoding="utf-8")
     path_c.write_text(csv_c, encoding="utf-8")

@@ -86,6 +86,22 @@ class TestSimulate:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("lines", [
+        "sweep.axis = unit.nosuch\nsweep.grid = 1\n",
+        "sweep.axis = unit.size\nsweep.grid = 2, 3\n",
+        "sweep.axis = unit.unit_size\nsweep.grid = 2, 3\n",
+        "sweep.axis = symptom.nu\nsweep.grid = 0.5, 1.5\n",
+        "sweep.axis = policy.kind\nsweep.grid = 2\n",
+    ], ids=["unknown", "int-key", "field-name", "out-of-range", "str-key"])
+    def test_bad_sweep_axis_rejected(self, lines, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG.replace("= 300", "= 200") + lines)
+        out = tmp_path / "rows.csv"
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.")
+        assert not out.exists()
+
     def test_zero_units_header_only(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
         config.write_text(SIM_CONFIG)
@@ -105,7 +121,10 @@ class TestSweep:
         assert len(lines) == 1 + 5 * 51
 
     def test_requires_out(self, capsys):
-        assert main(["sweep", "--figure", "1b"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--figure", "1b"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_seeded_reruns_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -113,6 +132,18 @@ class TestSweep:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        lines = out_a.read_text().split("\n")
+        assert len(lines) == 72 and lines[-1] == ""
+        assert [lines[i] for i in (1, 8, 29, 70)] == [
+            "figure_1b,interval_k,1,1,nan,nan,0.5,0.5,0.490545843739,"
+            "0.0157605118988,20000,0,0,1",
+            "figure_1b,interval_k,8,8,nan,nan,0.5,0.419572767952,"
+            "0.419759114305,0.0185485256621,20000,0,0,1",
+            "figure_1b,interval_k,1,1,nan,nan,0.7,0.7,0.702287470126,"
+            "0.0110923487437,20000,0,0,1",
+            "figure_1b,interval_k,14,14,nan,nan,0.9,0.88043212393,"
+            "0.889674006535,0.00895717345374,20000,0,0,1",
+        ]
 
     def test_negative_units_rejected(self, tmp_path, capsys):
         out = tmp_path / "fig1b.csv"
@@ -138,40 +169,23 @@ class TestSweep:
         assert "error: --threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_fields_read(self, tmp_path, capsys):
-        # Keys the sweep reads, and any key at its default value, are fine.
-        config = tmp_path / "sweep.cfg"
-        config.write_text("scenario.seed = 7\nduration.rho0 = 15\n"
-                          "symptom.delta = 0.4\nunit.size = 4\n")
-        out = tmp_path / "fig1b.csv"
-        rc = main(["sweep", "--figure", "1b", "--config", str(config),
-                   "--out", str(out)])
-        assert rc == 0
-        assert out.exists()
-
-    @pytest.mark.parametrize("lines, fields", [
-        ("unit.size = 8\nunit.contacts_vaccinated = true\n",
-         "unit.unit_size, unit.contacts_vaccinated"),
-        ("policy.kind = scheduled\npolicy.interval_days = 7\n",
-         "policy.kind, policy.interval_days"),
-        ("filter.preset = harris\n",
-         "design.attribution_window, design.coprimary_exclusion_days"),
-        ("scenario.index_rule = true_primary\nscenario.id = mine\n",
-         "scenario_id, index_rule"),
-        ("sweep.axis = symptom.delta\nsweep.grid = 0.25, 0.5\n",
-         "sweep_axis, sweep_grid"),
+    @pytest.mark.parametrize("lines", [
+        "unit.size = 8\nunit.contacts_vaccinated = true\n",
+        "policy.kind = scheduled\npolicy.interval_days = 7\n",
+        "filter.preset = harris\n",
+        "scenario.index_rule = true_primary\nscenario.id = mine\n",
+        "sweep.axis = symptom.delta\nsweep.grid = 0.25, 0.5\n",
     ], ids=["unit", "policy", "filter", "scenario", "sweep"])
-    def test_config_fields_not_read_rejected(self, lines, fields, tmp_path,
-                                             capsys):
+    def test_config_fields_not_read_rejected(self, lines, tmp_path, capsys):
+        # Figures are built from the package defaults: sweep takes no config.
         config = tmp_path / "sweep.cfg"
         config.write_text("scenario.seed = 7\n" + lines)
         out = tmp_path / "fig1b.csv"
-        rc = main(["sweep", "--figure", "1b", "--config", str(config),
-                   "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: sweep reads only")
-        assert err.rstrip().endswith("it would ignore " + fields)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--figure", "1b", "--config", str(config),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from sarbias import ScenarioConfig, parse_config, run_scenario
 from sarbias.harness import (CSV_COLUMNS, ConfigError, _analytic_columns,
                              apply_axis, fmt12, mc_oracle, rows_to_csv,
-                             sweep_figure_1a, sweep_figure_1b_a1, write_csv)
+                             sweep_figure, write_csv)
 from sarbias.infer import WindowAnchor
 from sarbias.observe import PolicyKind
 
@@ -145,7 +145,7 @@ class TestFormatting:
         assert fmt12(8 / 15) == "0.533333333333"
 
     def test_csv_layout(self):
-        rows = sweep_figure_1b_a1(units_per_arm=0)[:3]
+        rows = sweep_figure("a1")[:3]
         text = rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0].startswith("scenario_id,sweep_param,sweep_value")
@@ -306,54 +306,46 @@ class TestMcOracle:
 
 class TestFigureSweeps:
     def test_fig1a_delta_one_rows_agree_exactly(self):
-        rows = [r for r in sweep_figure_1a(units_per_arm=0) if r.delta == 1.0]
+        rows = [r for r in sweep_figure("1a") if r.delta == 1.0]
         assert rows
         for row in rows:
             assert row.feasible == 1
             assert abs(row.actual_ve_analytic - row.target_ve) <= 1e-12
 
     def test_fig1a_reference_row(self):
-        rows = sweep_figure_1a(units_per_arm=0, deltas=(0.5,),
-                               target_ves=(0.56,))
-        assert rows[0].actual_ve_analytic == pytest.approx(0.40, abs=1e-12)
-        assert rows[0].one_minus_delta == 0.5
+        (row,) = [r for r in sweep_figure("1a")
+                  if r.delta == 0.5 and r.target_ve == 0.56]
+        assert row.actual_ve_analytic == pytest.approx(0.40, abs=1e-12)
+        assert row.one_minus_delta == 0.5
 
     def test_fig1a_infeasible_rows_flagged_not_dropped(self):
-        rows = sweep_figure_1a(units_per_arm=0, deltas=(0.5,),
-                               target_ves=(0.0, 0.2, 0.9))
+        rows = [r for r in sweep_figure("1a")
+                if r.delta == 0.5 and r.target_ve in (0.0, 0.2, 0.9)]
         assert [r.feasible for r in rows] == [0, 0, 1]
         assert math.isnan(rows[0].actual_ve_analytic)
 
     def test_fig1b_restricted_to_short_intervals(self):
-        rows = sweep_figure_1b_a1(units_per_arm=0,
-                                  restrict_to_short_intervals=True)
+        rows = sweep_figure("1b")
         assert max(r.interval_k for r in rows) < 15.0
         assert all(r.scenario_id == "figure_1b" for r in rows)
 
     def test_fig1b_daily_testing_agrees_with_target(self):
-        rows = [r for r in sweep_figure_1b_a1(units_per_arm=0)
+        rows = [r for r in sweep_figure("a1")
                 if r.interval_k == 1.0 and r.feasible]
         assert rows
         for row in rows:
             assert abs(row.actual_ve_analytic - row.target_ve) <= 1e-12
 
     def test_figa1_plateau_rows_identical(self):
-        rows = sweep_figure_1b_a1(units_per_arm=0, target_ves=(0.6,),
-                                  ks=(25.0, 30.0))
+        rows = [r for r in sweep_figure("a1")
+                if r.target_ve == 0.6 and r.interval_k in (25.0, 30.0)]
+        assert len(rows) == 2
         assert rows[0].actual_ve_analytic == rows[1].actual_ve_analytic
 
-    def test_infeasible_duration_targets_flagged(self):
-        # Targets below 1 - rho1/rho0 = 3/7 need nu_daily > 1.
-        rows = sweep_figure_1b_a1(units_per_arm=0, target_ves=(0.3,),
-                                  ks=(7.0,))
-        assert rows[0].feasible == 0
-
-    def test_mc_columns_and_thread_invariance(self):
-        kwargs = dict(units_per_arm=40_000, seed=9, target_ves=(0.6,),
-                      ks=(7.0, 25.0))
-        rows_1 = sweep_figure_1b_a1(threads=1, **kwargs)
-        rows_8 = sweep_figure_1b_a1(threads=8, **kwargs)
-        assert rows_to_csv(rows_1) == rows_to_csv(rows_8)
-        for row in rows_1:
+    def test_mc_columns_within_3se(self):
+        rows = [r for r in sweep_figure("a1", units_per_arm=40_000, seed=9)
+                if r.target_ve == 0.6 and r.interval_k in (7.0, 25.0)]
+        assert len(rows) == 2
+        for row in rows:
             assert row.mc_se > 0
             assert abs(row.actual_ve_mc - row.actual_ve_analytic) <= 3 * row.mc_se
