@@ -10,7 +10,8 @@ occasionally tests positive before its primary, the unit migrates to the
 unvaccinated arm, and the naive VE drifts upward.
 """
 
-from sarbias import mc_oracle, parse_config
+from sarbias import parse_config, run_cohort
+from sarbias.harness import spawn_rng
 
 n = 400_000
 # Units of four tested daily, analysed from the earliest positive test.
@@ -26,7 +27,8 @@ filter.window_hi = 60
 
 
 def naive_and_truth(shared: bool):
-    cohort = mc_oracle(parse_config(config.format(shared=shared)), n, seed=31)
+    cohort = run_cohort(parse_config(config.format(shared=shared)), n,
+                        spawn_rng(31))
     naive, truth = cohort.observed_ratio(), cohort.true_ratio()
     return naive, truth, naive.ve - truth.ve
 

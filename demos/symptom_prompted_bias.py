@@ -9,8 +9,9 @@ asymptomatic infections transmit less (smaller delta).
 """
 
 from sarbias import (InfeasibleTargetError, SymptomModelParams,
-                     invert_target_to_nu, mc_oracle, parse_config,
+                     invert_target_to_nu, parse_config, run_cohort,
                      symptom_prompted_actual_mu, symptom_prompted_target_mu)
+from sarbias.harness import spawn_rng
 
 params = SymptomModelParams()  # lambda=0.2, delta=0.5, nu=0.6, rho=0.5
 target_ve = 1.0 - symptom_prompted_target_mu(params)
@@ -43,7 +44,7 @@ scenario.index_rule = true_primary
 unit.transmission_mode = per_unit_bernoulli
 policy.kind = symptom_prompted
 """)
-cohort = mc_oracle(cfg, 100_000, seed=cfg.seed)
+cohort = run_cohort(cfg, 100_000, spawn_rng(cfg.seed))
 mc, truth = cohort.observed_ratio(), cohort.true_ratio()
 print(f"  simulated naive VE  : {mc.ve:.4f} (se {mc.se:.4f})  -> 1 - nu = {actual_ve}")
 print(f"  same-cohort true VE : {truth.ve:.4f} "

@@ -11,8 +11,9 @@ monotone.
 """
 
 from sarbias import (DurationModelParams, infrequent_observed_mu,
-                     infrequent_target_mu, mc_oracle, parse_config,
+                     infrequent_target_mu, parse_config, run_cohort,
                      sampling_fraction)
+from sarbias.harness import spawn_rng
 
 d = DurationModelParams()  # durations U(7,21) / U(1,15), hazard ratio 0.7
 target_ve = 1.0 - infrequent_target_mu(d)
@@ -43,7 +44,7 @@ unit.transmission_mode = per_day_hazard
 policy.kind = scheduled
 policy.interval_days = {k_check}
 """)
-mc = mc_oracle(cfg, 300_000, seed=cfg.seed).observed_ratio()
+mc = run_cohort(cfg, 300_000, spawn_rng(cfg.seed)).observed_ratio()
 print(f"Simulation check at k = {k_check:g} (300k units per arm):")
 print(f"  simulated observed VE: {mc.ve:.4f} (se {mc.se:.4f})")
 print(f"  closed form          : {1.0 - infrequent_observed_mu(k_check, d):.4f}")

@@ -12,13 +12,12 @@ from .estimands import (DegenerateModelError, InfeasibleTargetError,
                         infrequent_target_mu, invert_target_to_nu,
                         sampling_fraction, symptom_prompted_actual_mu,
                         symptom_prompted_target_mu)
-from .harness import (ResultRow, ScenarioConfig, load_config, mc_oracle,
-                      parse_config, run_scenario, sweep_figure, write_csv)
+from .harness import (ResultRow, ScenarioConfig, load_config, parse_config,
+                      run_scenario, sweep_figure, write_csv)
 from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
                     VESarEstimate, WindowAnchor, analyze_unit,
-                    bootstrap_ve_se, estimate_ve_sar, identify_index,
-                    true_ve_sar)
-from .mc import mc_detection_fraction
+                    estimate_ve_sar, identify_index, true_ve_sar)
+from .mc import mc_detection_fraction, run_cohort
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
 from .params import DurationModelParams, ParameterError, SymptomModelParams
 from .simcore import (Infection, Person, SourceKind, TransmissionMode,
@@ -34,13 +33,11 @@ __all__ = [
     "ScenarioConfig", "SourceKind", "StudyDesignFilter", "SymptomModelParams",
     "TestRecord", "TestingPolicy", "TransmissionMode", "UnitAnalysis",
     "UnitConfig", "UnitTruth", "VESarEstimate", "WindowAnchor",
-    "analyze_unit", "apply_policy", "bootstrap_ve_se", "estimate_ve_sar",
-    "identify_index",
+    "analyze_unit", "apply_policy", "estimate_ve_sar", "identify_index",
     "infrequent_observed_component", "infrequent_observed_mu",
     "infrequent_target_mu", "invert_target_to_nu", "load_config",
-    "mc_detection_fraction", "mc_oracle",
-    "parse_config", "run_scenario", "run_validation_suite",
-    "sample_primary", "sampling_fraction", "simulate_unit",
-    "sweep_figure", "symptom_prompted_actual_mu",
+    "mc_detection_fraction", "parse_config", "run_cohort", "run_scenario",
+    "run_validation_suite", "sample_primary", "sampling_fraction",
+    "simulate_unit", "sweep_figure", "symptom_prompted_actual_mu",
     "symptom_prompted_target_mu", "true_ve_sar", "write_csv",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import estimands
 from .infer import (PRESET_FILTERS, EstimationError, StudyDesignFilter,
                     UnitAnalysis, WindowAnchor, analyze_unit, estimate_ve_sar)
-from .mc import CohortCounts, run_cohort
+from .mc import run_cohort
 from .observe import PolicyKind, TestingPolicy, apply_policy
 from .params import DurationModelParams, SymptomModelParams
 from .simcore import TransmissionMode, UnitConfig, simulate_unit
@@ -82,6 +82,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown index_rule {self.index_rule!r}")
         if self.sweep_axis is not None and not self.sweep_grid:
             raise ConfigError("sweep.axis given but sweep.grid is empty")
+        if self.sweep_axis is None and self.sweep_grid:
+            raise ConfigError("sweep.grid given but sweep.axis is not set")
 
 
 def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
@@ -428,24 +430,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     return rows
 
 
-# --- fast Monte Carlo oracle -------------------------------------------------
-
-def mc_oracle(cfg: ScenarioConfig, n_reps: int, seed: int,
-              rng_key: tuple[int, ...] = ()) -> CohortCounts:
-    """The cohort engine on one scenario: ``n_reps`` units per arm from the
-    stream of ``(seed, rng_key)``.
-
-    Raises ``ValueError`` for fewer than 10000 units per arm or a set
-    sweep axis (the oracle answers for the base config only).
-    """
-    if n_reps < 10_000:
-        raise ValueError(f"n_reps must be >= 10000 for a usable oracle, "
-                         f"got {n_reps}")
-    if cfg.sweep_axis is not None:
-        raise ValueError(f"the oracle does not model sweep_axis = "
-                         f"{cfg.sweep_axis!r}: it answers for the base config")
-    return run_cohort(cfg, n_reps, spawn_rng(seed, *rng_key))
-
+# --- reference configs of the closed forms -----------------------------------
 
 def scheduled_reference(d: DurationModelParams, interval_k: float,
                         transmission: TransmissionMode = (

@@ -312,7 +312,6 @@ class VESarEstimate:
     sar_u: float
     ve: float
     se: float
-    counts: dict
 
 
 def _index_arm(analyses: list[UnitAnalysis], vaccinated: bool) -> ArmCounts:
@@ -331,24 +330,9 @@ def estimate_ve_sar(analyses: list[UnitAnalysis]) -> VESarEstimate:
     Raises:
         EstimationError: see :func:`ve_from_arms`.
     """
-    excluded_counts: dict[str, int] = {}
-    for a in analyses:
-        if a.excluded:
-            reason = a.exclusion_reason or "other"
-            excluded_counts[reason] = excluded_counts.get(reason, 0) + 1
-
     arm_v, arm_u = (_index_arm(analyses, arm) for arm in (True, False))
     _, ve, se = ve_from_arms(arm_v, arm_u)
-    counts = {
-        "n_analyses": len(analyses),
-        "n_units_v": arm_v.n_units,
-        "n_units_u": arm_u.n_units,
-        "at_risk_v": arm_v.at_risk,
-        "at_risk_u": arm_u.at_risk,
-        "excluded": excluded_counts,
-    }
-    return VESarEstimate(sar_v=arm_v.sar, sar_u=arm_u.sar, ve=ve, se=se,
-                         counts=counts)
+    return VESarEstimate(sar_v=arm_v.sar, sar_u=arm_u.sar, ve=ve, se=se)
 
 
 def true_ve_sar(units: list[UnitTruth]) -> float:
@@ -372,29 +356,3 @@ def true_ve_sar(units: list[UnitTruth]) -> float:
     _, ve, _ = ve_from_arms(ArmCounts.from_units(*arms[True]),
                             ArmCounts.from_units(*arms[False]))
     return ve
-
-
-def bootstrap_ve_se(analyses: list[UnitAnalysis], n_resamples: int = 500,
-                    seed: int = 0) -> float:
-    """Unit-resampling bootstrap standard error of the VE estimate.
-
-    Validation alternative to the delta-method SE reported by
-    :func:`estimate_ve_sar`; resamples whole units so within-unit
-    clustering is preserved. Resamples that leave an arm empty or the
-    unvaccinated SAR at zero are skipped.
-    """
-    rng = np.random.default_rng(seed)
-    rows = [a for a in analyses if not a.excluded and a.n_at_risk_contacts > 0]
-    n = len(rows)
-    if n < 2:
-        return math.nan
-    ves = []
-    for _ in range(n_resamples):
-        draw = rng.integers(0, n, n)
-        try:
-            ves.append(estimate_ve_sar([rows[i] for i in draw]).ve)
-        except EstimationError:
-            continue
-    if len(ves) < 2:
-        return math.nan
-    return float(np.std(ves, ddof=1))

@@ -301,9 +301,13 @@ def run_cohort(cfg: "ScenarioConfig", units_per_arm: int,
                rng: np.random.Generator) -> CohortCounts:
     """``units_per_arm`` units per arm of the scenario's base config, the
     vaccinated arm first, each in chunks of :data:`COHORT_CHUNK` units
-    drawn in order from ``rng``."""
+    drawn in order from ``rng``. Raises ``ValueError`` for no units or a
+    set sweep axis."""
     if units_per_arm < 1:
         raise ValueError(f"units_per_arm must be >= 1, got {units_per_arm}")
+    if cfg.sweep_axis is not None:
+        raise ValueError(f"the oracle does not model sweep_axis = "
+                         f"{cfg.sweep_axis!r}: it answers for the base config")
     onsets = cfg.policy.kind in SYMPTOM_KINDS
     total = None
     for vaccinated in (True, False):

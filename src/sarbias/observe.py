@@ -40,6 +40,10 @@ class PolicyKind(Enum):
     SYMPTOM_PLUS_SCHEDULED = "symptom_plus_scheduled"
 
 
+SYMPTOM_KINDS = (PolicyKind.SYMPTOM_PROMPTED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
+SCHEDULED_KINDS = (PolicyKind.SCHEDULED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
+
+
 @dataclass(frozen=True)
 class TestingPolicy:
     """How and when the members of a unit get tested.
@@ -47,9 +51,10 @@ class TestingPolicy:
     Attributes:
         kind: which trigger generates tests.
         delay_days: days between symptom onset and the symptom-prompted
-            test.
+            test; kinds without symptom tests keep it 0.
         interval_days: spacing of scheduled tests; required for scheduled
-            kinds.
+            kinds, and with ``shared_phase`` and ``fixed_phase`` left unset
+            by the others.
         participation: per-person probability of ever testing. Opt-outs
             are drawn once per person and suppress all of that person's
             records.
@@ -80,16 +85,24 @@ class TestingPolicy:
                                  f"got {self.participation}")
         if self.horizon_days <= 0.0:
             raise ParameterError(f"horizon_days must be > 0, got {self.horizon_days}")
-        scheduled = self.kind in (PolicyKind.SCHEDULED,
-                                  PolicyKind.SYMPTOM_PLUS_SCHEDULED)
-        if scheduled:
-            if self.interval_days is None or self.interval_days <= 0.0:
-                raise ParameterError("interval_days must be > 0 for scheduled "
-                                     f"testing, got {self.interval_days}")
-            if self.fixed_phase is not None and not (
-                    0.0 <= self.fixed_phase < self.interval_days):
-                raise ParameterError("fixed_phase must lie in [0, interval_days), "
-                                     f"got {self.fixed_phase}")
+        if self.kind not in SYMPTOM_KINDS and self.delay_days > 0.0:
+            raise ParameterError(f"{self.kind.value} testing has no symptom "
+                                 f"tests to delay, got delay_days = {self.delay_days}")
+        if self.kind not in SCHEDULED_KINDS:
+            for name, unset in (("interval_days", None), ("fixed_phase", None),
+                                ("shared_phase", False)):
+                if getattr(self, name) != unset:
+                    raise ParameterError(
+                        f"{self.kind.value} testing has no scheduled tests, "
+                        f"got {name} = {getattr(self, name)}")
+            return
+        if self.interval_days is None or self.interval_days <= 0.0:
+            raise ParameterError("interval_days must be > 0 for scheduled "
+                                 f"testing, got {self.interval_days}")
+        if self.fixed_phase is not None and not (
+                0.0 <= self.fixed_phase < self.interval_days):
+            raise ParameterError("fixed_phase must lie in [0, interval_days), "
+                                 f"got {self.fixed_phase}")
 
     @classmethod
     def none(cls) -> "TestingPolicy":
@@ -186,16 +199,6 @@ class ObservedUnit:
 
     def tests_of(self, person_id: int) -> list[TestRecord]:
         return [t for t in self.tests if t.person_id == person_id]
-
-    def tested_ids(self) -> set[int]:
-        return {pid for pid, tested in enumerate(self.tested) if tested}
-
-    def first_positive_time(self, person_id: int) -> Optional[float]:
-        return self.first_positive[person_id]
-
-
-SYMPTOM_KINDS = (PolicyKind.SYMPTOM_PROMPTED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
-SCHEDULED_KINDS = (PolicyKind.SCHEDULED, PolicyKind.SYMPTOM_PLUS_SCHEDULED)
 
 
 def _positive_at(inf: Optional[Infection], t: float) -> bool:

@@ -1,10 +1,12 @@
 """Differential test: the cohort engine against the object pipeline.
 
-Each cell is one config, run through ``run_scenario`` and through
-``mc_oracle``. The two sample the same process independently, so their VE
-estimates must agree within three combined standard errors. The first six
-cells anchor on the true primary; the others cover every design and
-testing field, one or more per cell.
+Each cell is one config, run through ``run_scenario`` and through the
+cohort engine, ``run_cohort`` on the stream ``spawn_rng(oracle seed)``.
+The two sample the same process independently, so their VE estimates must
+agree within three combined standard errors. The first six cells anchor on
+the true primary; the others cover every design and testing field, one or
+more per cell. ``tests/test_calibration.py`` checks on four of these cells
+that the standard errors themselves are calibrated.
 """
 
 import math
@@ -12,7 +14,8 @@ from dataclasses import replace
 
 import pytest
 
-from sarbias import mc_oracle, parse_config, run_scenario
+from sarbias import parse_config, run_cohort, run_scenario
+from sarbias.harness import spawn_rng
 
 ORACLE_UNITS = 200_000
 
@@ -95,7 +98,8 @@ def test_oracle_matches_pipeline(lines, units, pipeline_seed, oracle_seed,
     if change is not None:
         cfg = change(cfg)
     (row,) = run_scenario(cfg)
-    oracle = mc_oracle(cfg, ORACLE_UNITS, seed=oracle_seed).observed_ratio()
+    oracle = run_cohort(cfg, ORACLE_UNITS,
+                        spawn_rng(oracle_seed)).observed_ratio()
     z = (row.actual_ve_mc - oracle.ve) / math.hypot(row.mc_se, oracle.se)
     assert abs(z) <= 3.0, (f"pipeline VE {row.actual_ve_mc:.4f} ± {row.mc_se:.4f}"
                            f" vs oracle {oracle.ve:.4f} ± {oracle.se:.4f}")

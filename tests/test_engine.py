@@ -39,9 +39,10 @@ def scenario_configs(draw, rng_free=False):
             st.floats(0.0, k, exclude_max=True))]))
     policy = TestingPolicy(
         kind=kind, interval_days=k if scheduled else None,
-        delay_days=draw(st.sampled_from([0.0, 1.5])),
+        delay_days=(draw(st.sampled_from([0.0, 1.5])) if kind in SYMPTOM_KINDS
+                    else 0.0),
         participation=1.0 if rng_free else draw(st.sampled_from([1.0, 0.7])),
-        shared_phase=draw(st.booleans()), fixed_phase=fixed_phase,
+        shared_phase=scheduled and draw(st.booleans()), fixed_phase=fixed_phase,
         horizon_days=draw(st.sampled_from([60.0, 20.0, 7.5])))
     design = StudyDesignFilter(
         attribution_window=draw(st.sampled_from(WINDOWS)),

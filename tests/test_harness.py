@@ -3,9 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from sarbias import ScenarioConfig, parse_config, run_scenario
+from sarbias import ScenarioConfig, parse_config, run_cohort, run_scenario
 from sarbias.harness import (CSV_COLUMNS, ConfigError, _analytic_columns,
-                             apply_axis, fmt12, mc_oracle, rows_to_csv,
+                             apply_axis, fmt12, rows_to_csv, spawn_rng,
                              sweep_figure, write_csv)
 from sarbias.infer import WindowAnchor
 from sarbias.observe import PolicyKind
@@ -117,6 +117,21 @@ class TestParseConfig:
     def test_sweep_axis_without_grid(self):
         with pytest.raises(ConfigError, match="sweep.grid"):
             parse_config("scenario.seed = 1\nsweep.axis = symptom.delta")
+
+    def test_sweep_grid_without_axis(self):
+        with pytest.raises(ConfigError, match="sweep.axis is not set"):
+            parse_config("scenario.seed = 1\nsweep.grid = 0.25, 0.5")
+
+    @pytest.mark.parametrize("lines, match", [
+        ("policy.interval_days = 7", "policy: .* interval_days = 7"),
+        ("policy.kind = scheduled\npolicy.interval_days = 7\n"
+         "policy.delay_days = 3", "policy: .* delay_days = 3"),
+        ("sweep.axis = policy.interval_days\nsweep.grid = 3, 7",
+         "sweep.grid: .* interval_days = 3"),
+    ])
+    def test_policy_fields_the_kind_does_not_read(self, lines, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config("scenario.seed = 1\n" + lines)
 
 
 class TestApplyAxis:
@@ -275,19 +290,14 @@ class TestRngStreamPinned:
 
 
 class TestMcOracle:
-    def test_requires_enough_reps(self):
-        cfg = ScenarioConfig(seed=1)
-        with pytest.raises(ValueError, match="n_reps"):
-            mc_oracle(cfg, 100, seed=1)
-
     def test_symptom_dispatch_matches_analytic(self):
         cfg = parse_config(GOOD_CONFIG)
-        mc = mc_oracle(cfg, 200_000, seed=5).observed_ratio()
+        mc = run_cohort(cfg, 200_000, spawn_rng(5)).observed_ratio()
         assert abs(mc.ve - 0.4) <= 3 * mc.se
 
     def test_scheduled_dispatch(self):
         cfg = parse_config(SCHEDULED_CONFIG)
-        mc = mc_oracle(cfg, 200_000, seed=6).observed_ratio()
+        mc = run_cohort(cfg, 200_000, spawn_rng(6)).observed_ratio()
         from sarbias import infrequent_observed_mu
         assert abs(mc.mu_ratio - infrequent_observed_mu(10.0, cfg.unit.duration)) \
             <= 3 * mc.se
@@ -299,9 +309,9 @@ class TestMcOracle:
     ])
     def test_ignored_scheduled_fields_rejected(self, field_name, change):
         cfg = parse_config(SCHEDULED_CONFIG)
-        mc_oracle(cfg, 10_000, seed=1)  # the unchanged config is modelled
+        run_cohort(cfg, 10_000, spawn_rng(1))  # the unchanged config is modelled
         with pytest.raises(ValueError, match=f"does not model {field_name} ="):
-            mc_oracle(change(cfg), 10_000, seed=1)
+            run_cohort(change(cfg), 10_000, spawn_rng(1))
 
 
 class TestFigureSweeps:

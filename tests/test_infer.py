@@ -253,19 +253,7 @@ class TestEstimateVeSar:
                                  n_attributed_transmissions=0, excluded=True,
                                  exclusion_reason="coprimary")]
         est = estimate_ve_sar(analyses)
-        assert est.counts["excluded"] == {"coprimary": 1}
-        assert est.counts["n_units_v"] == 1
-
-    def test_bootstrap_se_agrees_with_delta_method(self):
-        rng = np.random.default_rng(8)
-        analyses = []
-        for arm, p in ((True, 0.08), (False, 0.2)):
-            for _ in range(800):
-                analyses.append(analysis(arm, 3, int(rng.binomial(3, p))))
-        est = estimate_ve_sar(analyses)
-        from sarbias import bootstrap_ve_se
-        boot = bootstrap_ve_se(analyses, n_resamples=400, seed=9)
-        assert boot == pytest.approx(est.se, rel=0.25)
+        assert (est.sar_v, est.sar_u) == (1 / 10, 2 / 10)
 
 
 def truth(vaccinated, at_risk, attributed):

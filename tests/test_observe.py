@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sarbias import (Infection, Person, SourceKind, SymptomModelParams,
-                     TestingPolicy, UnitConfig, apply_policy, sampling_fraction,
-                     simulate_unit)
-from sarbias.observe import ObservedUnit, PolicyKind
+from sarbias import (Infection, ParameterError, Person, SourceKind,
+                     SymptomModelParams, TestingPolicy, UnitConfig,
+                     apply_policy, sampling_fraction, simulate_unit)
+from sarbias.observe import (SCHEDULED_KINDS, SYMPTOM_KINDS, ObservedUnit,
+                             PolicyKind)
 from sarbias.simcore import UnitTruth
 
 
@@ -49,6 +50,21 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             TestingPolicy.scheduled(7.0, fixed_phase=7.0)
 
+    @pytest.mark.parametrize("kind", [PolicyKind.NO_TESTING,
+                                      PolicyKind.SYMPTOM_PROMPTED])
+    @pytest.mark.parametrize("field_name, value", [
+        ("interval_days", 7.0), ("fixed_phase", 0.0), ("shared_phase", True)])
+    def test_schedule_fields_need_scheduled_tests(self, kind, field_name, value):
+        with pytest.raises(ParameterError, match=f"{field_name} = {value}"):
+            TestingPolicy(kind=kind, **{field_name: value})
+
+    @pytest.mark.parametrize("kind", [PolicyKind.NO_TESTING,
+                                      PolicyKind.SCHEDULED])
+    def test_delay_needs_symptom_tests(self, kind):
+        interval = 7.0 if kind is PolicyKind.SCHEDULED else None
+        with pytest.raises(ParameterError, match="delay_days = 3"):
+            TestingPolicy(kind=kind, interval_days=interval, delay_days=3.0)
+
 
 class TestNoAndSymptomTesting:
     def test_no_testing_no_records(self):
@@ -79,7 +95,7 @@ class TestNoAndSymptomTesting:
                            np.random.default_rng(0))
         assert len(obs.tests) == 1
         assert not obs.tests[0].positive
-        assert obs.first_positive_time(0) is None
+        assert obs.first_positive[0] is None
 
     def test_participation_zero_suppresses_everything(self):
         unit = make_unit([primary_infection()])
@@ -111,7 +127,7 @@ class TestScheduledTesting:
         unit = make_unit([primary_infection()])
         policy = TestingPolicy.scheduled(10.0)
         obs = apply_policy(unit, policy, np.random.default_rng(1))
-        assert obs.tested_ids() == {0, 1, 2, 3}
+        assert obs.tested == [True] * 4
         assert all(t.person_id == 0 for t in obs.tests if t.positive)
 
     def test_shared_phase_synchronizes_unit(self):
@@ -119,7 +135,7 @@ class TestScheduledTesting:
         policy = TestingPolicy.scheduled(7.0, shared_phase=True)
         obs = apply_policy(unit, policy, np.random.default_rng(2))
         first_times = {min(t.test_time for t in obs.tests_of(pid))
-                       for pid in obs.tested_ids()}
+                       for pid in range(4) if obs.tested[pid]}
         assert len(first_times) == 1
 
     def test_detection_probability_of_fixed_duration(self):
@@ -130,7 +146,7 @@ class TestScheduledTesting:
         policy = TestingPolicy.scheduled(10.0)
         for _ in range(n):
             obs = apply_policy(unit, policy, rng)
-            hits += obs.first_positive_time(0) is not None
+            hits += obs.first_positive[0] is not None
         se = math.sqrt(0.5 * 0.5 / n)
         assert abs(hits / n - 0.5) <= 3 * se
 
@@ -145,7 +161,7 @@ class TestScheduledTesting:
         for _ in range(n):
             truth = simulate_unit(cfg, rng)
             obs = apply_policy(truth, policy, rng)
-            hits += obs.first_positive_time(0) is not None
+            hits += obs.first_positive[0] is not None
         expect = sampling_fraction(10.0, 14.0, 7.0)
         se = math.sqrt(expect * (1 - expect) / n)
         assert abs(hits / n - expect) <= 3 * se
@@ -158,7 +174,7 @@ class TestScheduledTesting:
             truth = simulate_unit(cfg, rng)
             obs = apply_policy(truth, policy, rng)
             for inf in truth.infections:
-                assert obs.first_positive_time(inf.person_id) is not None
+                assert obs.first_positive[inf.person_id] is not None
 
     def test_monotone_information_under_coupled_phases(self):
         # Interval divisors with phase coupled as phase mod k' can only add
@@ -225,15 +241,18 @@ def unit_truths(draw, acquisition=st.floats(0.0, 40.0)):
 @st.composite
 def policies(draw):
     kind = draw(st.sampled_from(list(PolicyKind)))
-    interval = draw(st.floats(0.5, 15.0))
-    fixed = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+    schedule = {}
+    if kind in SCHEDULED_KINDS:
+        interval = draw(st.floats(0.5, 15.0))
+        fixed = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+        schedule = dict(interval_days=interval, shared_phase=draw(st.booleans()),
+                        fixed_phase=None if fixed is None else fixed * interval)
+    delay = (draw(st.sampled_from([0.0, 1.0, 2.5])) if kind in SYMPTOM_KINDS
+             else 0.0)
     return TestingPolicy(
-        kind=kind, delay_days=draw(st.sampled_from([0.0, 1.0, 2.5])),
-        interval_days=interval,
+        kind=kind, delay_days=delay,
         participation=draw(st.sampled_from([1.0, 0.6, 0.0])),
-        shared_phase=draw(st.booleans()),
-        fixed_phase=None if fixed is None else fixed * interval,
-        horizon_days=draw(st.sampled_from([60.0, 20.0, 4.0, 0.25])))
+        horizon_days=draw(st.sampled_from([60.0, 20.0, 4.0, 0.25])), **schedule)
 
 
 class TestSummaryMatchesRecords:
