@@ -118,13 +118,15 @@ def _run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_threads(args: argparse.Namespace) -> None:
+def _check_shared_flags(args: argparse.Namespace) -> None:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    _check_threads(args)
+    _check_shared_flags(args)
     if args.units < 0:
         raise ValueError(f"--units must be >= 0, got {args.units}")
     rows = harness.sweep_figure(args.figure, units_per_arm=args.units,
@@ -135,7 +137,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    _check_threads(args)
+    _check_shared_flags(args)
     if args.units < 1:
         raise ValueError(f"--units must be >= 1, got {args.units}")
     ok = validation.main_validation(units_per_arm=args.units, seed=args.seed,

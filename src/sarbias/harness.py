@@ -78,6 +78,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.units_per_arm < 0:
             raise ConfigError(f"units_per_arm must be >= 0, got {self.units_per_arm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.index_rule not in ("earliest_positive", "true_primary"):
             raise ConfigError(f"unknown index_rule {self.index_rule!r}")
         if self.sweep_axis is not None and not self.sweep_grid:
@@ -117,19 +119,30 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
+_KIND_NAMES = {"float": "a finite float", "floats": "finite floats"}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _cast(key: str, raw: str, kind: str):
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
             return int(raw)
         if kind == "bool":
             return _BOOL[raw.lower()]
         if kind == "floats":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+            return tuple(_finite(v) for v in raw.split(",") if v.strip())
         return raw
     except (ValueError, KeyError):
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(f"{key}: cannot parse {raw!r} as "
+                          f"{_KIND_NAMES.get(kind, kind)}") from None
 
 
 _KEY_KINDS = {

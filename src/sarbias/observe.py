@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +83,9 @@ class TestingPolicy:
         if not 0.0 <= self.participation <= 1.0:
             raise ParameterError(f"participation must be in [0, 1], "
                                  f"got {self.participation}")
-        if self.horizon_days <= 0.0:
-            raise ParameterError(f"horizon_days must be > 0, got {self.horizon_days}")
+        if not 0.0 < self.horizon_days < math.inf:
+            raise ParameterError("horizon_days must be finite and > 0, "
+                                 f"got {self.horizon_days}")
         if self.kind not in SYMPTOM_KINDS and self.delay_days > 0.0:
             raise ParameterError(f"{self.kind.value} testing has no symptom "
                                  f"tests to delay, got delay_days = {self.delay_days}")
@@ -96,9 +97,9 @@ class TestingPolicy:
                         f"{self.kind.value} testing has no scheduled tests, "
                         f"got {name} = {getattr(self, name)}")
             return
-        if self.interval_days is None or self.interval_days <= 0.0:
-            raise ParameterError("interval_days must be > 0 for scheduled "
-                                 f"testing, got {self.interval_days}")
+        if self.interval_days is None or not 0.0 < self.interval_days < math.inf:
+            raise ParameterError("interval_days must be finite and > 0 for "
+                                 f"scheduled testing, got {self.interval_days}")
         if self.fixed_phase is not None and not (
                 0.0 <= self.fixed_phase < self.interval_days):
             raise ParameterError("fixed_phase must lie in [0, interval_days), "
@@ -160,7 +161,7 @@ class ObservedUnit:
     __slots__ = ("persons", "first_positive", "tested", "reported_onsets",
                  "_tests", "_build_tests")
 
-    def __init__(self, persons: list, tests: list[TestRecord],
+    def __init__(self, persons: Sequence, tests: list[TestRecord],
                  reported_onsets: Optional[dict[int, float]] = None) -> None:
         first_positive: list[Optional[float]] = [None] * len(persons)
         tested = [False] * len(persons)
@@ -170,7 +171,7 @@ class ObservedUnit:
             first = first_positive[pid]
             if record.positive and (first is None or record.test_time < first):
                 first_positive[pid] = record.test_time
-        self.persons = persons  # list[Person], shared with the source truth
+        self.persons = persons  # Person per id; the source truth's tuple
         self.first_positive = first_positive
         self.tested = tested
         self.reported_onsets = {} if reported_onsets is None else reported_onsets
@@ -178,7 +179,7 @@ class ObservedUnit:
         self._build_tests: Optional[Callable[[], list[TestRecord]]] = None
 
     @classmethod
-    def _from_summary(cls, persons: list, first_positive: list[Optional[float]],
+    def _from_summary(cls, persons: Sequence, first_positive: list[Optional[float]],
                       tested: list[bool], reported_onsets: dict[int, float],
                       build_tests: Callable[[], list[TestRecord]]) -> "ObservedUnit":
         obs = cls.__new__(cls)
@@ -220,10 +221,13 @@ def _symptom_tests(truth: UnitTruth, policy: TestingPolicy,
             yield inf, t
 
 
-def _n_scheduled(policy: TestingPolicy, phase: float) -> int:
-    """Number of slots ``phase + j * k`` up to the horizon (may be <= 0)."""
-    return int(math.floor((policy.horizon_days - phase)
-                          / policy.interval_days)) + 1
+def _slot_counts(policy: TestingPolicy,
+                 phases: list[Optional[float]]) -> list[int]:
+    """Per person, the number of slots ``phase + j * k`` up to the horizon
+    (may be <= 0); 0 for non-participants."""
+    horizon, k = policy.horizon_days, policy.interval_days
+    return [0 if phase is None else math.floor((horizon - phase) / k) + 1
+            for phase in phases]
 
 
 def _first_slot_at_or_after(acquisition: float, phase: float, k: float) -> int:
@@ -247,14 +251,15 @@ def _draw_phases(policy: TestingPolicy, participates: list[bool],
     """Schedule phase per person, ``None`` for non-participants."""
     if policy.fixed_phase is not None:
         return [policy.fixed_phase if p else None for p in participates]
+    # ``k * u`` is the double numpy's ``uniform(0, k)`` returns.
     k = policy.interval_days
     if policy.shared_phase:
-        shared = float(rng.uniform(0.0, k))
+        shared = k * rng.random()
         return [shared if p else None for p in participates]
     # One draw per participant in person order; an array draw yields the
     # same values as that many scalar draws.
-    drawn = iter(rng.uniform(0.0, k, sum(participates)).tolist())
-    return [next(drawn) if p else None for p in participates]
+    drawn = iter(rng.random(sum(participates)).tolist())
+    return [k * next(drawn) if p else None for p in participates]
 
 
 def _records(truth: UnitTruth, policy: TestingPolicy, participates: list[bool],
@@ -266,11 +271,10 @@ def _records(truth: UnitTruth, policy: TestingPolicy, participates: list[bool],
     if phases is not None:
         infections = {inf.person_id: inf for inf in truth.infections}
         k = policy.interval_days
-        for pid, phase in enumerate(phases):
-            if phase is None:
-                continue
+        for pid, (phase, n_slots) in enumerate(zip(phases,
+                                                   _slot_counts(policy, phases))):
             inf = infections.get(pid)
-            for j in range(max(_n_scheduled(policy, phase), 0)):
+            for j in range(n_slots):
                 t = phase + j * k
                 tests.append(TestRecord(person_id=pid, test_time=t,
                                         positive=_positive_at(inf, t)))
@@ -315,8 +319,7 @@ def apply_policy(truth: UnitTruth, policy: TestingPolicy,
     if policy.kind in SCHEDULED_KINDS:
         k = policy.interval_days
         phases = _draw_phases(policy, participates, rng)
-        n_slots = [0 if phase is None else _n_scheduled(policy, phase)
-                   for phase in phases]
+        n_slots = _slot_counts(policy, phases)
         for pid, n_tests in enumerate(n_slots):
             if n_tests > 0:
                 tested[pid] = True

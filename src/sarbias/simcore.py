@@ -30,6 +30,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -108,12 +110,36 @@ class UnitConfig:
         if self.followup_days <= 0.0:
             raise ParameterError(f"followup_days must be > 0, got {self.followup_days}")
 
+    @cached_property
+    def _infection_constants(self) -> tuple[tuple[float, float, float], ...]:
+        """Per vaccination status (index 0 unvaccinated, 1 vaccinated): the
+        symptomatic probability, the shortest positivity duration, and the
+        duration range as numpy's ``uniform`` computes it from the two ends."""
+        s, d = self.symptom, self.duration
+        constants = []
+        for vaccinated in (False, True):
+            rho_v = d.mean_duration(vaccinated)
+            low, high = rho_v - d.c, rho_v + d.c
+            constants.append((s.symptomatic_probability(vaccinated), low,
+                              high - low))
+        return tuple(constants)
+
+    @cached_property
+    def _incubation_log_mean(self) -> float:
+        # Log-normal parameterized so the arithmetic mean is incubation_mean_days.
+        sd = self.incubation_log_sd
+        return math.log(self.incubation_mean_days) - 0.5 * sd * sd
+
 
 @dataclass
 class UnitTruth:
-    """Fully observed outcome of one transmission unit."""
+    """Fully observed outcome of one transmission unit.
 
-    persons: list[Person]
+    ``persons`` is indexed by person id. :func:`simulate_unit` shares one
+    tuple between every unit of the same shape, so it must not be mutated.
+    """
+
+    persons: tuple[Person, ...]
     infections: list[Infection]
 
     @property
@@ -137,25 +163,21 @@ class UnitTruth:
                    if inf.source_kind is SourceKind.CONTACT and inf.source_id == pid)
 
 
-def _draw_incubation(cfg: UnitConfig, rng: np.random.Generator) -> float:
-    # Log-normal parameterized so the arithmetic mean is incubation_mean_days.
-    sd = cfg.incubation_log_sd
-    mu = math.log(cfg.incubation_mean_days) - 0.5 * sd * sd
-    return float(rng.lognormal(mean=mu, sigma=sd))
-
-
 def _make_infection(cfg: UnitConfig, rng: np.random.Generator, person_id: int,
                     vaccinated: bool, acquisition_time: float,
                     source_kind: SourceKind, source_id: Optional[int]) -> Infection:
-    s, d = cfg.symptom, cfg.duration
-    symptomatic = bool(rng.random() < s.symptomatic_probability(vaccinated))
-    rho_v = d.mean_duration(vaccinated)
-    duration = float(rng.uniform(rho_v - d.c, rho_v + d.c))
-    onset = acquisition_time + _draw_incubation(cfg, rng) if symptomatic else None
-    return Infection(person_id=person_id, acquisition_time=acquisition_time,
-                     source_kind=source_kind, source_id=source_id,
-                     symptomatic=symptomatic, symptom_onset_time=onset,
-                     duration_days=duration)
+    # The draws are the doubles numpy's scalar ``uniform(low, high)`` and
+    # ``lognormal(mu, sd)`` return, without their per-call overhead.
+    p_symptomatic, low, span = cfg._infection_constants[vaccinated]
+    symptomatic = rng.random() < p_symptomatic
+    duration = low + span * rng.random()
+    onset = None
+    if symptomatic:
+        incubation = math.exp(cfg._incubation_log_mean
+                              + cfg.incubation_log_sd * rng.standard_normal())
+        onset = acquisition_time + incubation
+    return Infection(person_id, acquisition_time, source_kind, source_id,
+                     symptomatic, onset, duration)
 
 
 def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[Person, Infection]:
@@ -165,12 +187,21 @@ def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[Person, I
     clock. Symptom probability is ``rho_symptom`` for unvaccinated and
     ``lambda_symptom * rho_symptom`` for vaccinated primaries.
     """
-    vaccinated = bool(rng.random() < cfg.p_primary_vaccinated)
-    person = Person(id=0, vaccinated=vaccinated)
-    infection = _make_infection(cfg, rng, person_id=0, vaccinated=vaccinated,
-                                acquisition_time=0.0,
-                                source_kind=SourceKind.PRIMARY, source_id=None)
-    return person, infection
+    vaccinated = rng.random() < cfg.p_primary_vaccinated
+    infection = _make_infection(cfg, rng, 0, vaccinated, 0.0,
+                                SourceKind.PRIMARY, None)
+    persons = _persons(cfg.unit_size, cfg.contacts_vaccinated, vaccinated)
+    return persons[0], infection
+
+
+@cache
+def _persons(unit_size: int, contacts_vaccinated: bool,
+             primary_vaccinated: bool) -> tuple[Person, ...]:
+    """The members of a unit, person 0 the primary. One immutable tuple per
+    unit shape, shared by every unit of that shape."""
+    return (Person(id=0, vaccinated=primary_vaccinated),) + tuple(
+        Person(id=i, vaccinated=contacts_vaccinated)
+        for i in range(1, unit_size))
 
 
 def _pair_transmission_probability(cfg: UnitConfig, source: Infection,
@@ -186,18 +217,18 @@ def _pair_transmission_probability(cfg: UnitConfig, source: Infection,
 
 
 def _draw_transmission_time(cfg: UnitConfig, source: Infection,
-                            source_vaccinated: bool,
-                            rng: np.random.Generator) -> float:
-    """Acquisition time within the source's infectious window."""
+                            source_vaccinated: bool, u: float) -> float:
+    """Acquisition time within the source's infectious window, from one
+    uniform double ``u``."""
     if cfg.transmission_mode is TransmissionMode.PER_DAY_HAZARD_EXACT:
         # First-event time of the constant hazard, conditioned on the event
         # falling inside the window.
         hazard = cfg.duration.daily_hazard(source_vaccinated)
         cap = 1.0 - math.exp(-hazard * source.duration_days)
-        offset = -math.log(1.0 - rng.random() * cap) / hazard
+        offset = -math.log(1.0 - u * cap) / hazard
     else:
-        offset = rng.uniform(0.0, source.duration_days)
-    return source.acquisition_time + float(offset)
+        offset = source.duration_days * u  # numpy's uniform(0, duration)
+    return source.acquisition_time + offset
 
 
 def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
@@ -210,10 +241,8 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
     hazard within ``followup_days``.
     """
     primary_person, primary_infection = sample_primary(cfg, rng)
-    persons = [primary_person] + [
-        Person(id=i, vaccinated=cfg.contacts_vaccinated)
-        for i in range(1, cfg.unit_size)
-    ]
+    persons = _persons(cfg.unit_size, cfg.contacts_vaccinated,
+                       primary_person.vaccinated)
 
     infections: dict[int, Infection] = {0: primary_infection}
     # Heap entries: (time, sequence, target_id, source_kind, source_id).
@@ -224,20 +253,23 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
         nonlocal counter
         src_vax = persons[source.person_id].vaccinated
         p = _pair_transmission_probability(cfg, source, src_vax)
-        for target in persons:
-            if target.id in infections:
-                continue
-            if rng.random() < p:
-                t = _draw_transmission_time(cfg, source, src_vax, rng)
-                heapq.heappush(heap, (t, counter, target.id,
+        targets = [i for i in range(cfg.unit_size) if i not in infections]
+        # Coins and transmission times are all plain doubles, and every
+        # target takes at least its coin: draw that many in one call, the
+        # times beyond them one at a time.
+        draws = chain(rng.random(len(targets)).tolist(), iter(rng.random, None))
+        for target_id in targets:
+            if next(draws) < p:
+                t = _draw_transmission_time(cfg, source, src_vax, next(draws))
+                heapq.heappush(heap, (t, counter, target_id,
                                       SourceKind.CONTACT, source.person_id))
                 counter += 1
 
     if cfg.community_daily_hazard > 0.0:
-        for target in persons[1:]:
+        for target_id in range(1, cfg.unit_size):
             t = float(rng.exponential(1.0 / cfg.community_daily_hazard))
             if t < cfg.followup_days:
-                heapq.heappush(heap, (t, counter, target.id,
+                heapq.heappush(heap, (t, counter, target_id,
                                       SourceKind.COMMUNITY, None))
                 counter += 1
 
@@ -247,13 +279,12 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
         t, _, target_id, kind, source_id = heapq.heappop(heap)
         if target_id in infections:
             continue
-        infection = _make_infection(cfg, rng, person_id=target_id,
-                                    vaccinated=persons[target_id].vaccinated,
-                                    acquisition_time=t, source_kind=kind,
-                                    source_id=source_id)
+        infection = _make_infection(cfg, rng, target_id,
+                                    persons[target_id].vaccinated, t, kind,
+                                    source_id)
         infections[target_id] = infection
         if cfg.contact_to_contact:
             push_transmissions(infection)
 
-    ordered = sorted(infections.values(), key=lambda inf: inf.acquisition_time)
-    return UnitTruth(persons=persons, infections=ordered)
+    # Pops come in time order, so insertion order is acquisition order.
+    return UnitTruth(persons=persons, infections=list(infections.values()))

@@ -102,6 +102,45 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("config error: sweep.")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, lines", [
+        ("policy.interval_days",
+         "policy.kind = scheduled\npolicy.interval_days = nan\n"),
+        ("policy.interval_days",
+         "policy.kind = scheduled\npolicy.interval_days = inf\n"),
+        ("policy.horizon_days", "policy.kind = scheduled\n"
+         "policy.interval_days = 7\npolicy.horizon_days = inf\n"),
+        ("filter.window_lo", "filter.window_lo = nan\n"),
+        ("policy.delay_days", "policy.delay_days = inf\n"),
+        ("unit.community_daily_hazard", "unit.community_daily_hazard = inf\n"),
+        ("unit.followup_days", "unit.followup_days = nan\n"),
+        ("sweep.grid", "sweep.axis = symptom.delta\nsweep.grid = 0.25, -inf\n"),
+    ], ids=["interval-nan", "interval-inf", "horizon-inf", "window-lo-nan",
+            "delay-inf", "community-inf", "followup-nan", "grid-inf"])
+    def test_non_finite_floats_rejected(self, key, lines, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG.replace("policy.kind = symptom_prompted\n",
+                                             "") + lines)
+        out = tmp_path / "rows.csv"
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {key}: cannot parse ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_rejected(self, where, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        out = tmp_path / "rows.csv"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        if where == "config":
+            config.write_text(SIM_CONFIG.replace("seed = 11", "seed = -1"))
+        else:
+            config.write_text(SIM_CONFIG)
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_units_header_only(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
         config.write_text(SIM_CONFIG)
@@ -150,6 +189,14 @@ class TestSweep:
         rc = main(["sweep", "--figure", "1b", "--units", "-3", "--out", str(out)])
         assert rc == 2
         assert "error: --units" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fig1b.csv"
+        rc = main(["sweep", "--figure", "1b", "--units", "20000",
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_oracle_reported(self, tmp_path, capsys):
@@ -216,6 +263,12 @@ class TestValidate:
         assert main(["validate", "--units", "1000", "--threads", threads]) == 2
         captured = capsys.readouterr()
         assert "error: --threads must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["validate", "--units", "1000", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
     def test_degenerate_oracle_reported(self, capsys):

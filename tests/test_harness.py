@@ -288,6 +288,38 @@ class TestRngStreamPinned:
             "symptom_lyngse,,nan,nan,0.5,0.5,0.56,nan,0.0312925170068,"
             "0.314401685123,500,511,9,1\n")
 
+    def test_shared_phase_exact_hazard_sweep(self):
+        # Shared schedule phase, symptom tests with a delay, opt-outs,
+        # vaccinated contacts, exact-hazard transmission times, two rows.
+        text = ("scenario.id = household_mixed\nscenario.seed = 13\n"
+                "scenario.units_per_arm = 400\nunit.size = 5\n"
+                "unit.contacts_vaccinated = true\n"
+                "unit.transmission_mode = per_day_hazard_exact\n"
+                "duration.tau0 = 0.03\n"
+                "policy.kind = symptom_plus_scheduled\npolicy.interval_days = 5\n"
+                "policy.delay_days = 1.5\npolicy.shared_phase = true\n"
+                "policy.participation = 0.9\nfilter.preset = eyre\n"
+                "sweep.axis = duration.nu_daily\nsweep.grid = 0.3, 0.6\n")
+        assert rows_to_csv(run_scenario(parse_config(text))) == self.HEADER + (
+            "household_mixed,duration.nu_daily,0.3,5,0.5,0.5,nan,nan,"
+            "0.762304026088,0.0341488694906,400,61,0,1\n"
+            "household_mixed,duration.nu_daily,0.6,5,0.5,0.5,nan,nan,"
+            "0.509171708966,0.0484186250957,400,66,0,1\n")
+
+    def test_chains_and_community(self):
+        # Contact-to-contact pushes while the heap drains, and community
+        # acquisitions drawn before the primary transmits.
+        text = ("scenario.id = chains_community\nscenario.seed = 14\n"
+                "scenario.units_per_arm = 400\nunit.size = 6\n"
+                "unit.contact_to_contact = true\n"
+                "unit.community_daily_hazard = 0.004\n"
+                "unit.transmission_mode = per_unit_bernoulli\n"
+                "policy.kind = symptom_prompted\npolicy.delay_days = 1\n"
+                "filter.preset = harris\n")
+        assert rows_to_csv(run_scenario(parse_config(text))) == self.HEADER + (
+            "chains_community,,nan,nan,0.5,0.5,nan,nan,-0.148351648352,"
+            "0.491089352197,400,236,132,1\n")
+
 
 class TestMcOracle:
     def test_symptom_dispatch_matches_analytic(self):

@@ -50,6 +50,14 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             TestingPolicy.scheduled(7.0, fixed_phase=7.0)
 
+    @pytest.mark.parametrize("field_name", ["interval_days", "horizon_days"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_schedule_spans_must_be_finite(self, field_name, value):
+        kwargs = {"interval_days": 7.0, field_name: value}
+        with pytest.raises(ParameterError,
+                           match=f"{field_name} must be finite and > 0"):
+            TestingPolicy(kind=PolicyKind.SCHEDULED, **kwargs)
+
     @pytest.mark.parametrize("kind", [PolicyKind.NO_TESTING,
                                       PolicyKind.SYMPTOM_PROMPTED])
     @pytest.mark.parametrize("field_name, value", [
