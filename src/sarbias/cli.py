@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="oracle-vs-analytic suite")
     p_val.add_argument("--units", type=int, default=1_000_000)
     p_val.add_argument("--seed", type=int, default=1)
-    p_val.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the oracle checks")
     return parser
 
 
@@ -118,15 +116,15 @@ def _run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_shared_flags(args: argparse.Namespace) -> None:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+def _check_seed(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    _check_shared_flags(args)
+    _check_seed(args)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if args.units < 0:
         raise ValueError(f"--units must be >= 0, got {args.units}")
     rows = harness.sweep_figure(args.figure, units_per_arm=args.units,
@@ -137,11 +135,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    _check_shared_flags(args)
+    _check_seed(args)
     if args.units < 1:
         raise ValueError(f"--units must be >= 1, got {args.units}")
-    ok = validation.main_validation(units_per_arm=args.units, seed=args.seed,
-                                    threads=args.threads)
+    ok = validation.main_validation(units_per_arm=args.units, seed=args.seed)
     return 0 if ok else 1
 
 

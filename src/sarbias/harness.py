@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,7 +67,7 @@ class ScenarioConfig:
     scenario_id: str = "scenario"
     unit: UnitConfig = field(default_factory=UnitConfig)
     policy: TestingPolicy = field(default_factory=TestingPolicy.symptom_prompted)
-    design: StudyDesignFilter = field(default_factory=StudyDesignFilter.maximal)
+    design: StudyDesignFilter = field(default_factory=StudyDesignFilter)
     units_per_arm: int = 10_000
     seed: int = 0
     index_rule: str = "earliest_positive"  # or "true_primary"
@@ -88,38 +88,10 @@ class ScenarioConfig:
             raise ConfigError("sweep.grid given but sweep.axis is not set")
 
 
-def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """Return a copy of ``cfg`` with the dotted ``axis`` field replaced.
-
-    ``symptom.*`` and ``duration.*`` are aliases into ``unit.symptom`` and
-    ``unit.duration``.
-    """
-    path = axis.split(".")
-    if path[0] in ("symptom", "duration"):
-        path = ["unit"] + path
-    obj_chain = [cfg]
-    for name in path[:-1]:
-        parent = obj_chain[-1]
-        if not any(f.name == name for f in fields(parent)):
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-        obj_chain.append(getattr(parent, name))
-    leaf_parent = obj_chain[-1]
-    leaf = path[-1]
-    if not any(f.name == leaf for f in fields(leaf_parent)):
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    updated = replace(leaf_parent, **{leaf: value})
-    for name, parent in zip(reversed(path[:-1]), reversed(obj_chain[:-1])):
-        updated = replace(parent, **{name: updated})
-    return updated
-
-
-# --- config file parsing ---------------------------------------------------
+# --- config keys -------------------------------------------------------------
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
-
-
-_KIND_NAMES = {"float": "a finite float", "floats": "finite floats"}
 
 
 def _finite(raw: str) -> float:
@@ -129,42 +101,112 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _cast(key: str, raw: str, kind: str):
-    try:
-        if kind == "float":
-            return _finite(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            return _BOOL[raw.lower()]
-        if kind == "floats":
-            return tuple(_finite(v) for v in raw.split(",") if v.strip())
-        return raw
-    except (ValueError, KeyError):
-        raise ConfigError(f"{key}: cannot parse {raw!r} as "
-                          f"{_KIND_NAMES.get(kind, kind)}") from None
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(_finite(v) for v in raw.split(",") if v.strip())
 
 
-_KEY_KINDS = {
-    "scenario.id": "str", "scenario.seed": "int",
-    "scenario.units_per_arm": "int", "scenario.out": "str",
-    "scenario.index_rule": "str",
-    "unit.size": "int", "unit.contacts_vaccinated": "bool",
-    "unit.incubation_mean_days": "float", "unit.incubation_log_sd": "float",
-    "unit.community_daily_hazard": "float", "unit.contact_to_contact": "bool",
-    "unit.transmission_mode": "str", "unit.followup_days": "float",
-    "symptom.lambda_symptom": "float", "symptom.delta": "float",
-    "symptom.nu": "float", "symptom.rho_symptom": "float", "symptom.tau": "float",
-    "duration.rho0": "float", "duration.rho1": "float", "duration.c": "float",
-    "duration.nu_daily": "float", "duration.tau0": "float",
-    "policy.kind": "str", "policy.delay_days": "float",
-    "policy.interval_days": "float", "policy.participation": "float",
-    "policy.shared_phase": "bool", "policy.horizon_days": "float",
-    "filter.preset": "str", "filter.window_lo": "float",
-    "filter.window_hi": "float", "filter.coprimary_days": "float",
-    "filter.require_contact_tested": "bool", "filter.anchor": "str",
-    "sweep.axis": "str", "sweep.grid": "floats",
+def _bool(raw: str) -> bool:
+    return _BOOL[raw.lower()]
+
+
+def _preset(raw: str) -> StudyDesignFilter:
+    if raw not in PRESET_FILTERS:
+        raise ConfigError(f"filter.preset: unknown preset {raw!r}; "
+                          f"choose from {sorted(PRESET_FILTERS)}")
+    return PRESET_FILTERS[raw]()
+
+
+_READER_NAMES = {_finite: "a finite float", _floats: "finite floats",
+                 int: "int", _bool: "bool"}
+
+# Every config key: the dotted ScenarioConfig field path it sets (a trailing
+# index sets one end of a tuple field) and the reader of its text value.
+# Sweep axes are the keys read by _finite.
+_KEYS = {
+    "scenario.id": ("scenario_id", str),
+    "scenario.seed": ("seed", int),
+    "scenario.units_per_arm": ("units_per_arm", int),
+    "scenario.out": ("out_path", str),
+    "scenario.index_rule": ("index_rule", str),
+    "unit.size": ("unit.unit_size", int),
+    "unit.contacts_vaccinated": ("unit.contacts_vaccinated", _bool),
+    "unit.incubation_mean_days": ("unit.incubation_mean_days", _finite),
+    "unit.incubation_log_sd": ("unit.incubation_log_sd", _finite),
+    "unit.community_daily_hazard": ("unit.community_daily_hazard", _finite),
+    "unit.contact_to_contact": ("unit.contact_to_contact", _bool),
+    "unit.transmission_mode": ("unit.transmission_mode", TransmissionMode),
+    "unit.followup_days": ("unit.followup_days", _finite),
+    "symptom.lambda_symptom": ("unit.symptom.lambda_symptom", _finite),
+    "symptom.delta": ("unit.symptom.delta", _finite),
+    "symptom.nu": ("unit.symptom.nu", _finite),
+    "symptom.rho_symptom": ("unit.symptom.rho_symptom", _finite),
+    "symptom.tau": ("unit.symptom.tau", _finite),
+    "duration.rho0": ("unit.duration.rho0", _finite),
+    "duration.rho1": ("unit.duration.rho1", _finite),
+    "duration.c": ("unit.duration.c", _finite),
+    "duration.nu_daily": ("unit.duration.nu_daily", _finite),
+    "duration.tau0": ("unit.duration.tau0", _finite),
+    "policy.kind": ("policy.kind", PolicyKind),
+    "policy.delay_days": ("policy.delay_days", _finite),
+    "policy.interval_days": ("policy.interval_days", _finite),
+    "policy.participation": ("policy.participation", _finite),
+    "policy.shared_phase": ("policy.shared_phase", _bool),
+    "policy.horizon_days": ("policy.horizon_days", _finite),
+    "filter.preset": ("design", _preset),
+    "filter.window_lo": ("design.attribution_window.0", _finite),
+    "filter.window_hi": ("design.attribution_window.1", _finite),
+    "filter.coprimary_days": ("design.coprimary_exclusion_days", _finite),
+    "filter.require_contact_tested": ("design.require_contact_tested", _bool),
+    "filter.anchor": ("design.anchor", WindowAnchor),
+    "sweep.axis": ("sweep_axis", str),
+    "sweep.grid": ("sweep_grid", _floats),
 }
+
+_SECTIONS = {UnitConfig: "unit: ", TestingPolicy: "policy: ",
+             StudyDesignFilter: "filter: "}
+
+
+def _read(key: str, raw: str):
+    reader = _KEYS[key][1]
+    try:
+        return reader(raw)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError):
+        name = _READER_NAMES.get(reader) or "one of " + ", ".join(
+            member.value for member in reader)
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {name}") from None
+
+
+def _assign(obj, changes: dict):
+    """A copy of ``obj`` with each dotted field path of ``changes`` set.
+
+    Each object on the paths is rebuilt with one ``replace`` of all its
+    changed fields, so its checks see only the final values."""
+    own, inner = {}, {}
+    for path, value in changes.items():
+        name, _, rest = path.partition(".")
+        if rest:
+            inner.setdefault(name, {})[rest] = value
+        else:
+            own[name] = value
+    for name, sub in inner.items():
+        own[name] = _assign(getattr(obj, name), sub)
+    if isinstance(obj, tuple):
+        return tuple(own.get(str(i), v) for i, v in enumerate(obj))
+    try:
+        return replace(obj, **own)
+    except ValueError as exc:
+        raise ConfigError(_SECTIONS.get(type(obj), "") + str(exc)) from None
+
+
+def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """Return a copy of ``cfg`` with the float config key ``axis`` (such as
+    ``symptom.delta`` or ``filter.window_lo``) set to ``value``."""
+    path, reader = _KEYS.get(axis, (None, None))
+    if reader is not _finite:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    return _assign(cfg, {path: value})
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -185,93 +227,21 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    unknown = sorted(set(raw) - set(_KEY_KINDS))
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
-    vals = {k: _cast(k, v, _KEY_KINDS[k]) for k, v in raw.items()}
+    vals = {key: _read(key, value) for key, value in raw.items()}
 
     if "scenario.seed" not in vals:
         raise ConfigError("scenario.seed is required (wall-clock seeding is "
                           "not supported)")
-
-    def section(prefix: str) -> dict:
-        return {k.split(".", 1)[1]: v for k, v in vals.items()
-                if k.startswith(prefix + ".")}
-
-    try:
-        symptom = SymptomModelParams(**section("symptom"))
-        duration = DurationModelParams(**section("duration"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    unit_kwargs = section("unit")
-    if "size" in unit_kwargs:
-        unit_kwargs["unit_size"] = unit_kwargs.pop("size")
-    if "transmission_mode" in unit_kwargs:
-        try:
-            unit_kwargs["transmission_mode"] = TransmissionMode(
-                unit_kwargs["transmission_mode"])
-        except ValueError:
-            raise ConfigError("unit.transmission_mode: unknown mode "
-                              f"{unit_kwargs['transmission_mode']!r}") from None
-    try:
-        unit = UnitConfig(symptom=symptom, duration=duration, **unit_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"unit: {exc}") from None
-
-    policy_kwargs = section("policy")
-    kind_raw = policy_kwargs.pop("kind", "symptom_prompted")
-    try:
-        kind = PolicyKind(kind_raw)
-    except ValueError:
-        raise ConfigError(f"policy.kind: unknown kind {kind_raw!r}") from None
-    try:
-        policy = TestingPolicy(kind=kind, **policy_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from None
-
-    filter_kwargs = section("filter")
-    preset = filter_kwargs.pop("preset", None)
-    if preset is not None:
-        if filter_kwargs:
-            raise ConfigError("filter.preset cannot be combined with other "
-                              "filter.* keys")
-        if preset not in PRESET_FILTERS:
-            raise ConfigError(f"filter.preset: unknown preset {preset!r}; "
-                              f"choose from {sorted(PRESET_FILTERS)}")
-        design = PRESET_FILTERS[preset]()
-    else:
-        lo = filter_kwargs.pop("window_lo", -60.0)
-        hi = filter_kwargs.pop("window_hi", 60.0)
-        anchor_raw = filter_kwargs.pop("anchor", "test_time")
-        try:
-            anchor = WindowAnchor(anchor_raw)
-        except ValueError:
-            raise ConfigError(f"filter.anchor: unknown anchor {anchor_raw!r}") from None
-        coprimary = filter_kwargs.pop("coprimary_days", None)
-        try:
-            design = StudyDesignFilter(attribution_window=(lo, hi),
-                                       coprimary_exclusion_days=coprimary,
-                                       anchor=anchor, **filter_kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"filter: {exc}") from None
-
+    if "filter.preset" in vals and sum(k.startswith("filter.") for k in vals) > 1:
+        raise ConfigError("filter.preset cannot be combined with other "
+                          "filter.* keys")
     axis = vals.get("sweep.axis")
-    if axis is not None and _KEY_KINDS.get(axis) != "float":
+    if axis is not None and _KEYS.get(axis, (None, None))[1] is not _finite:
         raise ConfigError(f"sweep.axis: {axis!r} is not a float key")
-    try:
-        cfg = ScenarioConfig(
-            scenario_id=vals.get("scenario.id", "scenario"),
-            unit=unit, policy=policy, design=design,
-            units_per_arm=vals.get("scenario.units_per_arm", 10_000),
-            seed=vals["scenario.seed"],
-            index_rule=vals.get("scenario.index_rule", "earliest_positive"),
-            sweep_axis=vals.get("sweep.axis"),
-            sweep_grid=vals.get("sweep.grid", ()),
-            out_path=vals.get("scenario.out"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = _assign(ScenarioConfig(), {_KEYS[k][0]: v for k, v in vals.items()})
     for value in cfg.sweep_grid if axis else ():
         try:
             apply_axis(cfg, axis, value)

@@ -75,12 +75,15 @@ class StudyDesignFilter:
 
     def __post_init__(self) -> None:
         lo, hi = self.attribution_window
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("attribution_window ends must be finite, "
+                             f"got ({lo}, {hi})")
         if lo > hi:
             raise ValueError(f"attribution window lo must be <= hi, got ({lo}, {hi})")
         if (self.coprimary_exclusion_days is not None
-                and self.coprimary_exclusion_days < 0):
-            raise ValueError("coprimary_exclusion_days must be >= 0 or None, "
-                             f"got {self.coprimary_exclusion_days}")
+                and not 0.0 <= self.coprimary_exclusion_days < math.inf):
+            raise ValueError("coprimary_exclusion_days must be finite and >= 0 "
+                             f"or None, got {self.coprimary_exclusion_days}")
 
     @classmethod
     def maximal(cls, horizon_days: float = 60.0) -> "StudyDesignFilter":

@@ -78,8 +78,9 @@ class TestingPolicy:
     horizon_days: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.delay_days < 0.0:
-            raise ParameterError(f"delay_days must be >= 0, got {self.delay_days}")
+        if not 0.0 <= self.delay_days < math.inf:
+            raise ParameterError("delay_days must be finite and >= 0, "
+                                 f"got {self.delay_days}")
         if not 0.0 <= self.participation <= 1.0:
             raise ParameterError(f"participation must be in [0, 1], "
                                  f"got {self.participation}")

@@ -98,17 +98,18 @@ class UnitConfig:
         if not 0.0 <= self.p_primary_vaccinated <= 1.0:
             raise ParameterError("p_primary_vaccinated must be in [0, 1], "
                                  f"got {self.p_primary_vaccinated}")
-        if self.incubation_mean_days <= 0.0:
-            raise ParameterError("incubation_mean_days must be > 0, "
+        if not 0.0 < self.incubation_mean_days < math.inf:
+            raise ParameterError("incubation_mean_days must be finite and > 0, "
                                  f"got {self.incubation_mean_days}")
-        if self.incubation_log_sd <= 0.0:
-            raise ParameterError("incubation_log_sd must be > 0, "
+        if not 0.0 < self.incubation_log_sd < math.inf:
+            raise ParameterError("incubation_log_sd must be finite and > 0, "
                                  f"got {self.incubation_log_sd}")
-        if self.community_daily_hazard < 0.0:
-            raise ParameterError("community_daily_hazard must be >= 0, "
+        if not 0.0 <= self.community_daily_hazard < math.inf:
+            raise ParameterError("community_daily_hazard must be finite and >= 0, "
                                  f"got {self.community_daily_hazard}")
-        if self.followup_days <= 0.0:
-            raise ParameterError(f"followup_days must be > 0, got {self.followup_days}")
+        if not 0.0 < self.followup_days < math.inf:
+            raise ParameterError("followup_days must be finite and > 0, "
+                                 f"got {self.followup_days}")
 
     @cached_property
     def _infection_constants(self) -> tuple[tuple[float, float, float], ...]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimands
-from .harness import (ScenarioConfig, _parallel_map, scheduled_reference,
-                      spawn_rng, symptom_reference)
+from .harness import (ScenarioConfig, scheduled_reference, spawn_rng,
+                      symptom_reference)
 from .infer import StudyDesignFilter
 from .mc import CohortCounts, mc_detection_fraction, run_cohort
 from .observe import TestingPolicy
@@ -118,8 +118,8 @@ def check_piecewise_interval(d: DurationModelParams, k: float,
     return out
 
 
-def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
-                         threads: int = 1) -> list[CheckResult]:
+def run_validation_suite(units_per_arm: int = 1_000_000,
+                         seed: int = 1) -> list[CheckResult]:
     """All oracle-vs-analytic bridge checks at the given replication size,
     at the package's default parameters."""
     s, d = SymptomModelParams(), DurationModelParams()
@@ -127,11 +127,9 @@ def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
 
     # Piecewise observed ratio across the testing-interval grid, with the
     # swapped-branch negative control alongside.
-    tasks = [(d, k, units_per_arm, seed, (10, i))
-             for i, k in enumerate(PIECEWISE_K_GRID)]
-    for chunk in _parallel_map(lambda a: check_piecewise_interval(*a),
-                               tasks, threads):
-        results.extend(chunk)
+    for i, k in enumerate(PIECEWISE_K_GRID):
+        results.extend(check_piecewise_interval(d, k, units_per_arm, seed,
+                                                (10, i)))
 
     # The negative control must be rejected somewhere strictly between the
     # branch points of at least one arm, where assignment is what differs.
@@ -209,10 +207,9 @@ def run_validation_suite(units_per_arm: int = 1_000_000, seed: int = 1,
     return results
 
 
-def main_validation(units_per_arm: int, seed: int, threads: int) -> bool:
+def main_validation(units_per_arm: int, seed: int) -> bool:
     """Run the suite, print one line per check, return overall pass."""
-    results = run_validation_suite(units_per_arm=units_per_arm, seed=seed,
-                                   threads=threads)
+    results = run_validation_suite(units_per_arm=units_per_arm, seed=seed)
     for r in results:
         print(r.format_line())
     n_failed = sum(1 for r in results if not r.passed)

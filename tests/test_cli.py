@@ -245,8 +245,7 @@ class TestSweep:
 
 class TestValidate:
     def test_small_run_passes_and_prints_lines(self, capsys):
-        rc = main(["validate", "--units", "150000", "--seed", "1",
-                   "--threads", "4"])
+        rc = main(["validate", "--units", "150000", "--seed", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "checks passed" in out
@@ -258,11 +257,24 @@ class TestValidate:
         assert main(["validate", "--units", units]) == 2
         assert "error: --units must be >= 1" in capsys.readouterr().err
 
+    def test_threads_flag_removed(self, capsys):
+        # The checks run in one thread: a second one did not pay for the flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--units", "1000", "--threads", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--threads" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, threads, capsys):
-        assert main(["validate", "--units", "1000", "--threads", threads]) == 2
+        # Values that the deleted flag used to reject are still refused,
+        # now by argparse as an unknown option.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--units", "1000", "--threads", threads])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "error: --threads must be >= 1" in captured.err
+        assert "--threads" in captured.err
         assert captured.out == ""
 
     def test_negative_seed_rejected(self, capsys):

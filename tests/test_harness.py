@@ -2,13 +2,15 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from sarbias import ScenarioConfig, parse_config, run_cohort, run_scenario
-from sarbias.harness import (CSV_COLUMNS, ConfigError, _analytic_columns,
-                             apply_axis, fmt12, rows_to_csv, spawn_rng,
-                             sweep_figure, write_csv)
-from sarbias.infer import WindowAnchor
-from sarbias.observe import PolicyKind
+from sarbias.harness import (_KEYS, CSV_COLUMNS, ConfigError, _analytic_columns,
+                             _finite, apply_axis, fmt12, rows_to_csv,
+                             spawn_rng, sweep_figure, write_csv)
+from sarbias.infer import StudyDesignFilter, WindowAnchor
+from sarbias.observe import PolicyKind, TestingPolicy
+from sarbias.simcore import UnitConfig
 
 GOOD_CONFIG = """
 # symptom-prompted demonstration scenario
@@ -150,6 +152,101 @@ class TestApplyAxis:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="unknown sweep axis"):
             apply_axis(ScenarioConfig(seed=1), "symptom.zeta", 0.5)
+        # Axes are config keys, not field paths.
+        with pytest.raises(ConfigError, match="unknown sweep axis"):
+            apply_axis(ScenarioConfig(seed=1), "unit.symptom.delta", 0.5)
+
+    @pytest.mark.parametrize("axis, designs", [
+        ("filter.window_lo", [StudyDesignFilter(attribution_window=(0.0, 60.0)),
+                              StudyDesignFilter(attribution_window=(7.0, 60.0))]),
+        ("filter.window_hi", [StudyDesignFilter(attribution_window=(-60.0, 0.0)),
+                              StudyDesignFilter(attribution_window=(-60.0, 7.0))]),
+        ("filter.coprimary_days", [StudyDesignFilter(coprimary_exclusion_days=0.0),
+                                   StudyDesignFilter(coprimary_exclusion_days=7.0)]),
+    ])
+    def test_filter_keys_are_axes(self, axis, designs):
+        cfg = parse_config("scenario.seed = 1\nscenario.units_per_arm = 200\n"
+                           f"sweep.axis = {axis}\nsweep.grid = 0, 7\n")
+        assert [apply_axis(cfg, axis, v).design for v in cfg.sweep_grid] == designs
+        rows = run_scenario(cfg)
+        assert [(r.sweep_param, r.sweep_value) for r in rows] == [
+            (axis, 0.0), (axis, 7.0)]
+
+
+FLOAT_KEYS = (
+    "unit.incubation_mean_days", "unit.incubation_log_sd",
+    "unit.community_daily_hazard", "unit.followup_days",
+    "symptom.lambda_symptom", "symptom.delta", "symptom.nu",
+    "symptom.rho_symptom", "symptom.tau", "duration.rho0", "duration.rho1",
+    "duration.c", "duration.nu_daily", "duration.tau0", "policy.delay_days",
+    "policy.interval_days", "policy.participation", "policy.horizon_days",
+    "filter.window_lo", "filter.window_hi", "filter.coprimary_days",
+)
+BASES = ("scenario.seed = 1\n",
+         "scenario.seed = 1\npolicy.kind = symptom_plus_scheduled\n"
+         "policy.interval_days = 7\n")
+FLOATS = st.one_of(st.floats(), st.floats(-1.0, 70.0),
+                   st.integers(-1, 20).map(float),
+                   st.sampled_from((math.nan, math.inf, -math.inf)))
+
+
+class TestOneKeyPath:
+    """Parsing and sweeping set a key's field through the same path."""
+
+    def test_float_keys_are_the_sweep_axes(self):
+        assert len(_KEYS) == 37
+        assert tuple(k for k, (_, reader) in _KEYS.items()
+                     if reader is _finite) == FLOAT_KEYS
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @given(base=st.sampled_from(BASES), value=FLOATS)
+    def test_apply_axis_equals_parsed_key(self, key, base, value):
+        assume(key not in base)
+        try:
+            swept = apply_axis(parse_config(base), key, value)
+        except ConfigError:
+            swept = None
+        try:
+            parsed = parse_config(base + f"{key} = {value!r}\n")
+        except ConfigError:
+            parsed = None
+        assert swept == parsed
+
+    @given(lines=st.lists(st.tuples(
+        st.one_of(st.sampled_from(tuple(_KEYS)), st.text(max_size=12)),
+        st.one_of(st.text(max_size=12), FLOATS.map(repr),
+                  st.integers().map(str),
+                  st.sampled_from(("true", "no", "harris", "scheduled",
+                                   "onset_time", "per_day_hazard",
+                                   "symptom.delta", "0.25, 0.5")))),
+        max_size=8), seeded=st.booleans())
+    def test_random_lines_parse_or_raise_config_error(self, lines, seeded):
+        text = "\n".join(f"{key} = {value}" for key, value in lines)
+        try:
+            cfg = parse_config("scenario.seed = 1\n" * seeded + text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ScenarioConfig)
+
+
+@pytest.mark.parametrize("build, field_name", [
+    (lambda v: UnitConfig(incubation_mean_days=v), "incubation_mean_days"),
+    (lambda v: UnitConfig(incubation_log_sd=v), "incubation_log_sd"),
+    (lambda v: UnitConfig(community_daily_hazard=v), "community_daily_hazard"),
+    (lambda v: UnitConfig(followup_days=v), "followup_days"),
+    (lambda v: StudyDesignFilter(attribution_window=(v, 14.0)),
+     "attribution_window"),
+    (lambda v: StudyDesignFilter(attribution_window=(-60.0, v)),
+     "attribution_window"),
+    (lambda v: StudyDesignFilter(coprimary_exclusion_days=v),
+     "coprimary_exclusion_days"),
+    (lambda v: TestingPolicy.symptom_prompted(delay_days=v), "delay_days"),
+], ids=["incubation-mean", "incubation-log-sd", "community", "followup",
+        "window-lo", "window-hi", "coprimary", "delay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_rejected_in_code(build, field_name, value):
+    with pytest.raises(ValueError, match=field_name):
+        build(value)
 
 
 class TestFormatting:
