@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--units", type=int, default=0,
                          help="units per arm for the Monte Carlo columns")
     p_sweep.add_argument("--out", metavar="PATH", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the oracle rows")
 
     p_val = sub.add_parser("validate", help="oracle-vs-analytic suite")
     p_val.add_argument("--units", type=int, default=1_000_000)
@@ -110,9 +108,17 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if not cfg.out_path:
         print("no output path: set scenario.out or pass --out", file=sys.stderr)
         return 2
-    rows = harness.run_scenario(cfg)
-    harness.write_csv(rows, cfg.out_path)
-    print(f"wrote {len(rows)} rows to {cfg.out_path}")
+    return _write(harness.run_scenario(cfg), cfg.out_path)
+
+
+def _write(rows: list[harness.ResultRow], path: str) -> int:
+    try:
+        harness.write_csv(rows, path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
@@ -123,15 +129,10 @@ def _check_seed(args: argparse.Namespace) -> None:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     _check_seed(args)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if args.units < 0:
         raise ValueError(f"--units must be >= 0, got {args.units}")
-    rows = harness.sweep_figure(args.figure, units_per_arm=args.units,
-                                seed=args.seed, threads=args.threads)
-    harness.write_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _write(harness.sweep_figure(args.figure, units_per_arm=args.units,
+                                       seed=args.seed), args.out)
 
 
 def _run_validate(args: argparse.Namespace) -> int:

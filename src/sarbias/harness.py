@@ -8,14 +8,16 @@ rejected so every output is reproducible byte for byte).
 
 Replication is deterministic: every task (sweep row, or fixed-size chunk
 of units) draws from its own RNG stream spawned from ``(seed, task key)``,
-so a config and seed fix the output bytes. The oracle sweeps fan their rows
-out over an optional worker pool and reduce them in task order, so their
-bytes do not depend on the worker count either.
+so a config and seed fix the output bytes. The oracle sweeps and the
+validation suite fan their tasks out over a pool of one thread per core and
+reduce them in task order, so their bytes do not depend on the worker count
+either.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -52,12 +54,25 @@ def fmt12(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _parallel_map(fn: Callable, args: list, threads: int) -> list:
-    if threads <= 1 or len(args) <= 1:
+def _workers() -> int:
+    """Threads of the task pool: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _parallel_map(fn: Callable, args: list) -> list:
+    """``[fn(a) for a in args]``, on a pool of :func:`_workers` threads.
+
+    The results, and the first exception raised, are in the order of
+    ``args``, so they do not depend on the worker count as long as each
+    call draws from its own stream."""
+    workers = min(_workers(), len(args))
+    if workers <= 1:
         return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, a) for a in args]
-        return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, args))
 
 
 @dataclass(frozen=True)
@@ -251,8 +266,17 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the scenario file at ``path``. A file that cannot be read as
+    UTF-8 text raises :class:`ConfigError` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
+    return parse_config(text)
 
 
 # --- result rows and CSV ----------------------------------------------------
@@ -478,8 +502,8 @@ def _figure_cell(figure: str, cell: tuple[float, float]
                                            target_ve=target)
 
 
-def sweep_figure(figure: str, units_per_arm: int = 0, seed: int = 0,
-                 threads: int = 1) -> list[ResultRow]:
+def sweep_figure(figure: str, units_per_arm: int = 0,
+                 seed: int = 0) -> list[ResultRow]:
     """One row per cell of ``FIGURE_GRIDS[figure]``: target VE against the
     observed VE of the cell's reference config.
 
@@ -488,7 +512,8 @@ def sweep_figure(figure: str, units_per_arm: int = 0, seed: int = 0,
     not dropped. Figures 1b and A1 solve the daily hazard ratio from the
     target VE under testing every ``k`` days. ``units_per_arm > 0`` adds
     Monte Carlo columns from the cohort engine, row ``i`` drawing from the
-    stream of ``(seed, i)``, so the bytes do not depend on ``threads``.
+    stream of ``(seed, i)`` on the worker pool of :func:`_parallel_map`, so
+    the bytes do not depend on the worker count.
     """
     scenario_id = f"figure_{figure}"
 
@@ -506,5 +531,4 @@ def sweep_figure(figure: str, units_per_arm: int = 0, seed: int = 0,
                          actual_ve_mc=mc.ve, mc_se=mc.se,
                          n_units=units_per_arm, **columns)
 
-    return _parallel_map(run_row, list(enumerate(FIGURE_GRIDS[figure])),
-                         threads)
+    return _parallel_map(run_row, list(enumerate(FIGURE_GRIDS[figure])))

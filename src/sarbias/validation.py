@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimands
-from .harness import (ScenarioConfig, scheduled_reference, spawn_rng,
-                      symptom_reference)
+from .harness import (ScenarioConfig, _parallel_map, scheduled_reference,
+                      spawn_rng, symptom_reference)
 from .infer import StudyDesignFilter
 from .mc import CohortCounts, mc_detection_fraction, run_cohort
 from .observe import TestingPolicy
@@ -82,18 +82,17 @@ def _zcheck(name: str, expected: float, observed: float, se: float,
 
 
 def check_piecewise_interval(d: DurationModelParams, k: float,
-                             units_per_arm: int, seed: int,
-                             rng_key: tuple[int, ...]) -> list[CheckResult]:
+                             cohort: CohortCounts) -> list[CheckResult]:
     """Observed-ratio oracle vs the piecewise closed form at one interval,
-    plus the swapped-branch negative control at the same interval.
+    plus the swapped-branch negative control at the same interval, from the
+    cohort of :func:`mc_infrequent_observed` at that interval.
 
     The control fails only if the oracle sides with the swapped assignment
     against the primary one; merely lacking the replication to reject the
     control at this interval is reported, not failed. The suite separately
     requires an outright rejection at one interior interval or more.
     """
-    rng = spawn_rng(seed, *rng_key)
-    mc = mc_infrequent_observed(d, k, units_per_arm, rng).observed_ratio()
+    mc = cohort.observed_ratio()
     analytic = estimands.infrequent_observed_mu(k, d)
     swapped = (estimands.infrequent_observed_component_swapped(k, d.rho1, d.c, d.tau1)
                / estimands.infrequent_observed_component_swapped(k, d.rho0, d.c, d.tau0))
@@ -118,18 +117,47 @@ def check_piecewise_interval(d: DurationModelParams, k: float,
     return out
 
 
+def _tail_pair(d: DurationModelParams, units_per_arm: int,
+               rng: np.random.Generator) -> tuple[CohortCounts, CohortCounts]:
+    """The scheduled cohorts at k = 25 and then k = 30, on one stream."""
+    return (mc_infrequent_observed(d, 25.0, units_per_arm, rng),
+            mc_infrequent_observed(d, 30.0, units_per_arm, rng))
+
+
 def run_validation_suite(units_per_arm: int = 1_000_000,
                          seed: int = 1) -> list[CheckResult]:
     """All oracle-vs-analytic bridge checks at the given replication size,
-    at the package's default parameters."""
+    at the package's default parameters.
+
+    The oracle calls run as tasks on the worker pool of
+    :func:`harness._parallel_map`, each on its own stream; the checks are
+    then built in suite order, so the results, and the first error raised,
+    do not depend on the worker count."""
     s, d = SymptomModelParams(), DurationModelParams()
+    detection_cases = ((10.0, d.rho1), (10.0, d.rho0), (15.0, d.rho1))
+    # (oracle, its arguments before the units, its stream key), in suite
+    # order; the oracles are looked up here, when the suite runs.
+    tasks = [(mc_infrequent_observed, (d, k), (10, i))
+             for i, k in enumerate(PIECEWISE_K_GRID)]
+    tasks += [(_tail_pair, (d,), (20,)),
+              (mc_infrequent_observed, (d, 1.0), (21,)),
+              (mc_infrequent_observed, (d, 10.0), (22,))]
+    tasks += [(mc_detection_fraction, (rho, d.c, k), (23, i))
+              for i, (k, rho) in enumerate(detection_cases)]
+    tasks += [(mc_symptom_prompted_ve, (s, d), (24,)),
+              (mc_fully_observed_naive, (d, 1.0), (25,))]
+
+    def run(task):
+        oracle, args, key = task
+        return oracle(*args, units_per_arm, spawn_rng(seed, *key))
+
+    outcomes = iter(_parallel_map(run, tasks))
     results: list[CheckResult] = []
 
     # Piecewise observed ratio across the testing-interval grid, with the
     # swapped-branch negative control alongside.
-    for i, k in enumerate(PIECEWISE_K_GRID):
-        results.extend(check_piecewise_interval(d, k, units_per_arm, seed,
-                                                (10, i)))
+    for k in PIECEWISE_K_GRID:
+        results.extend(check_piecewise_interval(d, k, next(outcomes)))
 
     # The negative control must be rejected somewhere strictly between the
     # branch points of at least one arm, where assignment is what differs.
@@ -149,25 +177,21 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Tail independence: the observed ratio stops moving once the interval
     # exceeds the longest duration.
-    rng = spawn_rng(seed, 20)
-    mc25 = mc_infrequent_observed(d, 25.0, units_per_arm, rng).observed_ratio()
-    mc30 = mc_infrequent_observed(d, 30.0, units_per_arm, rng).observed_ratio()
+    mc25, mc30 = (cohort.observed_ratio() for cohort in next(outcomes))
     se_diff = math.hypot(mc25.se, mc30.se)
     results.append(_zcheck("tail independence, k=25 vs k=30",
                            mc25.mu_ratio, mc30.mu_ratio, se_diff,
                            note="two oracle runs compared to each other"))
 
     # Daily testing anchor: at k = 1 the observed ratio is the target.
-    rng = spawn_rng(seed, 21)
-    mc1 = mc_infrequent_observed(d, 1.0, units_per_arm, rng).observed_ratio()
+    mc1 = next(outcomes).observed_ratio()
     results.append(_zcheck("daily-testing anchor, k=1",
                            estimands.infrequent_target_mu(d), mc1.mu_ratio,
                            mc1.se))
 
     # Duration-model bridge: unconditional per-contact transmission equals
     # hazard times mean duration, per arm.
-    rng = spawn_rng(seed, 22)
-    bridge = mc_infrequent_observed(d, 10.0, units_per_arm, rng)
+    bridge = next(outcomes)
     for label, arm, rho, tau in (("v", True, d.rho1, d.tau1),
                                  ("u", False, d.rho0, d.tau0)):
         truth = bridge.truth[arm]  # one contact per unit: binomial SE
@@ -177,18 +201,15 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Detection bridge: realized schedule detection equals the sampling
     # fraction, per arm and interval.
-    for i, (k, rho) in enumerate(((10.0, d.rho1), (10.0, d.rho0),
-                                  (15.0, d.rho1))):
-        rng = spawn_rng(seed, 23, i)
-        frac, se = mc_detection_fraction(rho, d.c, k, units_per_arm, rng)
+    for k, rho in detection_cases:
+        frac, se = next(outcomes)
         results.append(_zcheck(
             f"detection fraction, k={k:g}, rho={rho:g}",
             estimands.sampling_fraction(k, rho, d.c), frac, se))
 
     # Symptom-prompted pipeline: the naive estimate converges to 1 - nu
     # while the same cohort's true VE matches the target estimand.
-    rng = spawn_rng(seed, 24)
-    cohort = mc_symptom_prompted_ve(s, d, units_per_arm, rng)
+    cohort = next(outcomes)
     sp, truth = cohort.observed_ratio(), cohort.true_ratio()
     results.append(_zcheck("symptom-prompted pipeline VE", 1.0 - s.nu,
                            sp.ve, sp.se))
@@ -198,8 +219,7 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Fully observed regime: synchronized daily testing, naive analysis
     # matches the same cohort's truth.
-    rng = spawn_rng(seed, 25)
-    cohort = mc_fully_observed_naive(d, 1.0, units_per_arm, rng)
+    cohort = next(outcomes)
     naive, truth = cohort.observed_ratio(), cohort.true_ratio()
     results.append(_zcheck("fully observed naive vs truth",
                            truth.ve, naive.ve, max(naive.se, 1e-12),

@@ -226,11 +226,12 @@ def test_criterion_10_fully_observed_equivalence():
            "detected")
 
 
-def test_criterion_11_determinism(tmp_path):
-    kwargs = dict(units_per_arm=50_000, seed=SEED)
-    csv_a = rows_to_csv(sweep_figure("1b", threads=1, **kwargs))
-    csv_b = rows_to_csv(sweep_figure("1b", threads=1, **kwargs))
-    csv_c = rows_to_csv(sweep_figure("1b", threads=8, **kwargs))
+def test_criterion_11_determinism(tmp_path, monkeypatch):
+    def sweep(workers):
+        monkeypatch.setattr("sarbias.harness._workers", lambda: workers)
+        return rows_to_csv(sweep_figure("1b", units_per_arm=50_000, seed=SEED))
+
+    csv_a, csv_b, csv_c = sweep(1), sweep(1), sweep(8)
     path_a, path_c = tmp_path / "a.csv", tmp_path / "c.csv"
     path_a.write_text(csv_a, encoding="utf-8")
     path_c.write_text(csv_c, encoding="utf-8")

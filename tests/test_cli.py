@@ -76,6 +76,35 @@ class TestSimulate:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_missing_config_reported(self, tmp_path, capsys):
+        config, out = tmp_path / "nosuch.cfg", tmp_path / "rows.csv"
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read {config}: No such file or directory\n")
+        assert not out.exists()
+
+    def test_config_not_utf8_reported(self, tmp_path, capsys):
+        config, out = tmp_path / "latin1.cfg", tmp_path / "rows.csv"
+        config.write_bytes("scenario.seed = 1\nscenario.id = caf\u00e9\n"
+                           .encode("latin-1"))
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {config} is not UTF-8 text: invalid continuation "
+            "byte at byte 35\n")
+        assert not out.exists()
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG)
+        out = tmp_path / "nosuch" / "rows.csv"
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert not out.parent.exists()
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
         config.write_text(SIM_CONFIG)
@@ -209,11 +238,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
+        # The flag is gone (the pool has one thread per core); argparse
+        # refuses it, as it does any unknown option.
         out = tmp_path / "fig1b.csv"
-        rc = main(["sweep", "--figure", "1b", "--units", "20000",
-                   "--threads", threads, "--out", str(out)])
-        assert rc == 2
-        assert "error: --threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--figure", "1b", "--units", "20000",
+                  "--threads", threads, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lines", [
@@ -235,12 +267,21 @@ class TestSweep:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--figure", "a1", "--units", "20000", "--seed", "3"]
-        assert main(args + ["--threads", "1", "--out", str(out_a)]) == 0
-        assert main(args + ["--threads", "8", "--out", str(out_b)]) == 0
+        monkeypatch.setattr("sarbias.harness._workers", lambda: 1)
+        assert main(args + ["--out", str(out_a)]) == 0
+        monkeypatch.setattr("sarbias.harness._workers", lambda: 8)
+        assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nosuch" / "fig1a.csv"
+        assert main(["sweep", "--figure", "1a", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert not out.parent.exists()
 
 
 class TestValidate:
@@ -258,7 +299,7 @@ class TestValidate:
         assert "error: --units must be >= 1" in capsys.readouterr().err
 
     def test_threads_flag_removed(self, capsys):
-        # The checks run in one thread: a second one did not pay for the flag.
+        # The checks run on a pool of one thread per core; no flag sets it.
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--units", "1000", "--threads", "2"])
         assert exc.value.code == 2
@@ -286,3 +327,13 @@ class TestValidate:
     def test_degenerate_oracle_reported(self, capsys):
         assert main(["validate", "--units", "5"]) == 2
         assert "error: undefined VE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_first_error_in_suite_order(self, workers, monkeypatch, capsys):
+        # Whichever oracle task ends first, the error is the first check's.
+        monkeypatch.setattr("sarbias.harness._workers", lambda: workers)
+        assert main(["validate", "--units", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: undefined VE: no transmission in the unvaccinated arm\n")
+        assert captured.out == ""

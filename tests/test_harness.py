@@ -1,13 +1,17 @@
 import math
+import os
+import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from sarbias import ScenarioConfig, parse_config, run_cohort, run_scenario
+from sarbias import (ScenarioConfig, harness, parse_config, run_cohort,
+                     run_scenario, run_validation_suite)
 from sarbias.harness import (_KEYS, CSV_COLUMNS, ConfigError, _analytic_columns,
-                             _finite, apply_axis, fmt12, rows_to_csv,
-                             spawn_rng, sweep_figure, write_csv)
+                             _finite, _parallel_map, _workers, apply_axis,
+                             fmt12, rows_to_csv, spawn_rng, sweep_figure,
+                             write_csv)
 from sarbias.infer import StudyDesignFilter, WindowAnchor
 from sarbias.observe import PolicyKind, TestingPolicy
 from sarbias.simcore import UnitConfig
@@ -488,3 +492,36 @@ class TestFigureSweeps:
         for row in rows:
             assert row.mc_se > 0
             assert abs(row.actual_ve_mc - row.actual_ve_analytic) <= 3 * row.mc_se
+
+
+class TestWorkerPool:
+    def test_one_worker_per_core(self):
+        assert _workers() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_results_and_first_error_in_task_order(self, workers, monkeypatch):
+        monkeypatch.setattr(harness, "_workers", lambda: workers)
+        assert _parallel_map(lambda x: x * x, list(range(20))) == [
+            x * x for x in range(20)]
+        # Task 1 fails only once task 3 has failed (when it runs at all).
+        later_failed = threading.Event()
+
+        def fail(i):
+            if i == 3:
+                later_failed.set()
+                raise ValueError("task 3")
+            if i == 1:
+                later_failed.wait(timeout=1.0 if workers > 1 else 0.0)
+                raise ValueError("task 1")
+            return i
+
+        with pytest.raises(ValueError, match="task 1"):
+            _parallel_map(fail, list(range(6)))
+
+    def test_validation_suite_same_at_any_worker_count(self, monkeypatch):
+        results = []
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(harness, "_workers", lambda: workers)
+            results.append(run_validation_suite(units_per_arm=150_000))
+        assert results[0] == results[1] == results[2]
+        assert len(results[0]) == 25

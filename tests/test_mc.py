@@ -3,6 +3,7 @@ including cross-validation against the object-level pipeline on identical
 scenario semantics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +16,24 @@ from sarbias import (DurationModelParams, StudyDesignFilter, SymptomModelParams,
                      sampling_fraction, simulate_unit,
                      symptom_prompted_target_mu)
 from sarbias.harness import symptom_reference
-from sarbias.mc import run_cohort
+from sarbias.mc import COHORT_CHUNK, run_cohort
 from sarbias.validation import (mc_fully_observed_naive, mc_infrequent_observed,
                                 mc_symptom_prompted_ve)
 
 D = DurationModelParams()
 S = SymptomModelParams()
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes it held at once, as
+    tracemalloc counts numpy's buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def object_pipeline_reference(unit_cfg, policy, design, n_per_arm, seed):
@@ -74,6 +87,44 @@ class TestDetectionBridge:
             assert frac == expect
         else:
             assert abs(frac - expect) <= 3 * se
+
+
+    def test_streams_in_chunks(self):
+        # Two arrays of a million doubles held 16 MB; a chunk of each, 0.5 MB.
+        _, peak = traced_peak(lambda: mc_detection_fraction(
+            8.0, 7.0, 10.0, 1_000_000, np.random.default_rng(1)))
+        assert peak < 4 * COHORT_CHUNK * 8
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_same_bits_as_two_arrays(self, buffered):
+        # n not a multiple of the chunk; the stream may hold a buffered
+        # 32-bit half, which the draws of doubles leave alone.
+        n = 3 * COHORT_CHUNK + 12_345
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        if buffered:
+            rng.integers(0, 9, dtype=np.uint32)
+            reference.integers(0, 9, dtype=np.uint32)
+        durations = reference.uniform(8.0 - 7.0, 8.0 + 7.0, n)
+        offsets = reference.uniform(0.0, 10.0, n)
+        f = float(np.mean(offsets < durations))
+        assert mc_detection_fraction(8.0, 7.0, 10.0, n, rng) == (
+            f, math.sqrt(f * (1.0 - f) / n))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda n, rng: mc_infrequent_observed(D, 10.0, n, rng),
+    lambda n, rng: mc_symptom_prompted_ve(S, D, n, rng),
+    lambda n, rng: mc_fully_observed_naive(D, 1.0, n, rng)],
+    ids=["scheduled", "symptom", "fully-observed"])
+def test_run_cohort_peak_does_not_grow_with_units(oracle):
+    # A chunk's arrays are freed as the next chunk's replace them, so one
+    # chunk per arm and 32 per arm hold the same bytes at once, up to a few
+    # Python objects (well under half a row of a chunk, 128 KiB).
+    _, one = traced_peak(lambda: oracle(COHORT_CHUNK, np.random.default_rng(3)))
+    _, many = traced_peak(lambda: oracle(32 * COHORT_CHUNK,
+                                         np.random.default_rng(3)))
+    assert many < one + COHORT_CHUNK * 8 / 2
 
 
 class TestInfrequentOracle:
