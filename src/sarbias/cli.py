@@ -11,15 +11,29 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
 from . import estimands, harness, validation
 from .params import DurationModelParams, SymptomModelParams
 
-_FORMS = ("symptom-target-mu", "symptom-actual-mu", "invert-nu",
-          "infrequent-target-mu", "sampling-fraction",
-          "infrequent-observed-component", "infrequent-observed-mu")
+# Each closed form of `analytic`, from the flags and the parameter bundles
+# built from them.
+_FORMS = {
+    "symptom-target-mu": lambda a, s, d: estimands.symptom_prompted_target_mu(s),
+    "symptom-actual-mu": lambda a, s, d: estimands.symptom_prompted_actual_mu(s),
+    "invert-nu": lambda a, s, d: estimands.invert_target_to_nu(
+        a.target_ve, s.lambda_symptom, s.delta, s.rho_symptom),
+    "infrequent-target-mu": lambda a, s, d: estimands.infrequent_target_mu(d),
+    "sampling-fraction": lambda a, s, d: estimands.sampling_fraction(
+        a.k, a.rho_v, d.c),
+    "infrequent-observed-component":
+        lambda a, s, d: estimands.infrequent_observed_component(
+            a.k, a.rho_v, d.c, a.tau_v),
+    "infrequent-observed-mu":
+        lambda a, s, d: estimands.infrequent_observed_mu(a.k, d),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analytic", help="evaluate a closed form")
-    p_an.add_argument("--form", choices=_FORMS, required=True)
+    p_an.add_argument("--form", choices=tuple(_FORMS), required=True)
     for f in fields(SymptomModelParams) + fields(DurationModelParams):
         p_an.add_argument("--" + f.name.replace("_", "-"), type=float,
                           default=f.default)
@@ -40,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one scenario to CSV")
     p_sim.add_argument("--config", metavar="PATH", help="scenario config file")
+    p_sim.add_argument("--out", metavar="PATH", help="output CSV path")
     p_sim.add_argument("--seed", type=int, help="override the RNG seed")
-    p_sim.add_argument("--units", type=int, help="override units per arm")
-    p_sim.add_argument("--out", metavar="PATH",
-                       help="override the output CSV path")
+    p_sim.add_argument("--units", type=int, dest="units_per_arm",
+                       help="override units per arm")
 
     p_sweep = sub.add_parser("sweep", help="reproduce a figure sweep to CSV")
     p_sweep.add_argument("--figure", choices=tuple(harness.FIGURE_GRIDS),
@@ -62,64 +76,36 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_analytic(args: argparse.Namespace) -> int:
     s, d = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
             for cls in (SymptomModelParams, DurationModelParams))
-    form = args.form
-    if form == "symptom-target-mu":
-        value = estimands.symptom_prompted_target_mu(s)
-    elif form == "symptom-actual-mu":
-        value = estimands.symptom_prompted_actual_mu(s)
-    elif form == "invert-nu":
-        value = estimands.invert_target_to_nu(args.target_ve, args.lambda_symptom,
-                                              args.delta, args.rho_symptom)
-    elif form == "infrequent-target-mu":
-        value = estimands.infrequent_target_mu(d)
-    elif form == "sampling-fraction":
-        value = estimands.sampling_fraction(args.k, args.rho_v, args.c)
-    elif form == "infrequent-observed-component":
-        value = estimands.infrequent_observed_component(args.k, args.rho_v,
-                                                        args.c, args.tau_v)
-    else:
-        value = estimands.infrequent_observed_mu(args.k, d)
-    print(harness.fmt12(value))
+    print(harness.fmt12(_FORMS[args.form](args, s, d)))
     return 0
 
 
-def _apply_overrides(cfg: harness.ScenarioConfig,
-                     args: argparse.Namespace) -> harness.ScenarioConfig:
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.units is not None:
-        kwargs["units_per_arm"] = args.units
-    if args.out is not None:
-        kwargs["out_path"] = args.out
-    return replace(cfg, **kwargs) if kwargs else cfg
-
-
-def _run_simulate(args: argparse.Namespace) -> int:
-    if not args.config:
-        print("simulate requires --config PATH", file=sys.stderr)
-        return 2
-    try:
-        cfg = harness.load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not cfg.out_path:
-        print("no output path: set scenario.out or pass --out", file=sys.stderr)
-        return 2
-    return _write(harness.run_scenario(cfg), cfg.out_path)
+def _check_out(path: str) -> None:
+    """Refuse an output path in a missing directory, or naming a directory,
+    before any work. The write reports whatever else goes wrong."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cannot write {path}: No such file or directory")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: Is a directory")
 
 
 def _write(rows: list[harness.ResultRow], path: str) -> int:
     try:
         harness.write_csv(rows, path)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
     print(f"wrote {len(rows)} rows to {path}")
     return 0
+
+
+def _run_simulate(args: argparse.Namespace) -> int:
+    if not (args.config and args.out):
+        raise ValueError("simulate requires --config PATH and --out PATH")
+    _check_out(args.out)
+    overrides = {name: getattr(args, name) for name in ("seed", "units_per_arm")
+                 if getattr(args, name) is not None}
+    cfg = replace(harness.load_config(args.config), **overrides)
+    return _write(harness.run_scenario(cfg), args.out)
 
 
 def _check_seed(args: argparse.Namespace) -> None:
@@ -131,6 +117,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     _check_seed(args)
     if args.units < 0:
         raise ValueError(f"--units must be >= 0, got {args.units}")
+    _check_out(args.out)
     return _write(harness.sweep_figure(args.figure, units_per_arm=args.units,
                                        seed=args.seed), args.out)
 
@@ -143,17 +130,19 @@ def _run_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+_COMMANDS = {"analytic": _run_analytic, "simulate": _run_simulate,
+             "sweep": _run_sweep, "validate": _run_validate}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _run_simulate(args)
-    run = {"analytic": _run_analytic, "sweep": _run_sweep,
-           "validate": _run_validate}[args.command]
     try:
-        return run(args)
-    except ValueError as exc:  # bad flag values and oracles with empty arms
+        return _COMMANDS[args.command](args)
+    except harness.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # bad flags, unwritable paths, empty oracle arms
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -16,10 +16,12 @@ either.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,8 +51,6 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 def fmt12(x: float) -> str:
     """Fixed CSV float formatting: 12 significant digits, '.' separator."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{float(x):.12g}"
 
 
@@ -88,7 +88,6 @@ class ScenarioConfig:
     index_rule: str = "earliest_positive"  # or "true_primary"
     sweep_axis: Optional[str] = None
     sweep_grid: tuple[float, ...] = ()
-    out_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.units_per_arm < 0:
@@ -141,7 +140,6 @@ _KEYS = {
     "scenario.id": ("scenario_id", str),
     "scenario.seed": ("seed", int),
     "scenario.units_per_arm": ("units_per_arm", int),
-    "scenario.out": ("out_path", str),
     "scenario.index_rule": ("index_rule", str),
     "unit.size": ("unit.unit_size", int),
     "unit.contacts_vaccinated": ("unit.contacts_vaccinated", _bool),
@@ -281,17 +279,9 @@ def load_config(path: str) -> ScenarioConfig:
 
 # --- result rows and CSV ----------------------------------------------------
 
-CSV_COLUMNS = (
-    "scenario_id", "sweep_param", "sweep_value", "interval_k", "delta",
-    "one_minus_delta", "target_ve", "actual_ve_analytic", "actual_ve_mc",
-    "mc_se", "n_units", "n_excluded_no_index", "n_excluded_coprimary",
-    "feasible",
-)
-
-
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV record; column order is :data:`CSV_COLUMNS`."""
+    """One CSV record; the field order is the column order."""
 
     scenario_id: str
     sweep_param: str = ""
@@ -308,23 +298,19 @@ class ResultRow:
     n_excluded_coprimary: int = 0
     feasible: int = 1
 
-    def to_csv_fields(self) -> list[str]:
-        out = []
-        for name in CSV_COLUMNS:
-            value = getattr(self, name)
-            if isinstance(value, str):
-                out.append(value)
-            elif isinstance(value, int):
-                out.append(str(value))
-            else:
-                out.append(fmt12(value))
-        return out
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(r.to_csv_fields()) for r in rows)
-    return "\n".join(lines) + "\n"
+    """CSV text under a header row, floats through :func:`fmt12`; only a
+    field holding ``,`` or ``"`` is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([v if isinstance(v, (str, int)) else fmt12(v)
+                      for v in astuple(r)] for r in rows)
+    return buf.getvalue()
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:

@@ -64,14 +64,12 @@ class StudyDesignFilter:
             contacts in the denominator; registry style counts untested
             contacts as negative.
         anchor: see :class:`WindowAnchor`.
-        note: human-readable description of the rule set.
     """
 
     attribution_window: tuple[float, float] = (-60.0, 60.0)
     coprimary_exclusion_days: Optional[float] = None
     require_contact_tested: bool = False
     anchor: WindowAnchor = WindowAnchor.TEST_TIME
-    note: str = ""
 
     def __post_init__(self) -> None:
         lo, hi = self.attribution_window
@@ -86,44 +84,36 @@ class StudyDesignFilter:
                              f"or None, got {self.coprimary_exclusion_days}")
 
     @classmethod
-    def maximal(cls, horizon_days: float = 60.0) -> "StudyDesignFilter":
-        """No exclusions; every contact positive counts regardless of lag."""
-        return cls(attribution_window=(-horizon_days, horizon_days),
-                   note="maximal window, no exclusions")
+    def maximal(cls) -> "StudyDesignFilter":
+        """No exclusions; every contact positive within 60 days either side
+        of the index counts: the default filter."""
+        return cls()
 
     @classmethod
     def harris(cls) -> "StudyDesignFilter":
         """Household registry design: window 2-14 days after the index,
         dropping units with two positives within two days of each other."""
         return cls(attribution_window=(2.0, 14.0), coprimary_exclusion_days=2.0,
-                   require_contact_tested=False,
-                   note="registry; contact positives 2-14 days after index; "
-                        "drop units with >1 positive within 2 days")
+                   require_contact_tested=False)
 
     @classmethod
     def eyre(cls) -> "StudyDesignFilter":
         """Contact-tracing design: window 1-10 days, tested contacts only."""
         return cls(attribution_window=(1.0, 10.0), coprimary_exclusion_days=None,
-                   require_contact_tested=True,
-                   note="contact tracing; contact positives 1-10 days after "
-                        "index; denominator restricted to tested contacts")
+                   require_contact_tested=True)
 
     @classmethod
     def gier(cls) -> "StudyDesignFilter":
         """Contact-tracing design: window 1-14 days, tested contacts only."""
         return cls(attribution_window=(1.0, 14.0), coprimary_exclusion_days=None,
-                   require_contact_tested=True,
-                   note="contact tracing; contact positives 1-14 days after "
-                        "index; denominator restricted to tested contacts")
+                   require_contact_tested=True)
 
     @classmethod
     def lyngse(cls) -> "StudyDesignFilter":
         """Household registry design: window 1-7 days, dropping units with
         more than one person first testing positive on the same day."""
         return cls(attribution_window=(1.0, 7.0), coprimary_exclusion_days=0.0,
-                   require_contact_tested=False,
-                   note="registry; contact positives 1-7 days after index; "
-                        "drop units with >1 positive on the same day")
+                   require_contact_tested=False)
 
 
 PRESET_FILTERS = {

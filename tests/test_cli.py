@@ -1,8 +1,10 @@
+import csv
+
 import pytest
 
-from sarbias import SymptomModelParams, symptom_prompted_target_mu
+from sarbias import SymptomModelParams, harness, symptom_prompted_target_mu
 from sarbias.cli import main
-from sarbias.harness import fmt12
+from sarbias.harness import CSV_COLUMNS, fmt12
 
 SIM_CONFIG = """
 scenario.id = cli_demo
@@ -104,6 +106,37 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: No such file or directory\n")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("scenario_id", ['harris, k=7', 'say "hi"'])
+    def test_ids_that_need_quoting_round_trip(self, scenario_id, tmp_path):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG.replace("cli_demo", scenario_id))
+        out = tmp_path / "rows.csv"
+        rc = main(["simulate", "--config", str(config), "--out", str(out),
+                   "--units", "100"])
+        assert rc == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert [len(fields) for fields in csv.reader(fh)] == [14, 14]
+        with open(out, encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert list(row) == list(CSV_COLUMNS)
+        assert row["scenario_id"] == scenario_id
+
+    def test_requires_out(self, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG)
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_out_key_removed(self, tmp_path, capsys):
+        # The output path is a flag only; the config does not name one.
+        config, out = tmp_path / "scenario.cfg", tmp_path / "rows.csv"
+        config.write_text(SIM_CONFIG + f"scenario.out = {out}\n")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'scenario.out'\n")
+        assert not out.exists()
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
@@ -282,6 +315,38 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: No such file or directory\n")
         assert not out.parent.exists()
+
+
+class TestOutCheckedFirst:
+    """An output path that cannot be written is refused before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+        for name in ("run_scenario", "sweep_figure", "run_cohort"):
+            monkeypatch.setattr(harness, name, refuse)
+
+    @pytest.fixture(params=["simulate", "sweep"])
+    def argv(self, request, tmp_path):
+        if request.param == "sweep":
+            return ["sweep", "--figure", "1b", "--units", "200000"]
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG)
+        return ["simulate", "--config", str(config)]
+
+    @pytest.mark.parametrize("where, reason", [
+        ("nosuch/rows.csv", "No such file or directory"),
+        ("", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_refused_before_the_run(self, argv, where, reason, tmp_path, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / where
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestValidate:

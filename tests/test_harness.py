@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -108,6 +110,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown preset"):
             parse_config("scenario.seed = 1\nfilter.preset = nonesuch")
 
+    def test_maximal_preset_is_the_default_filter(self):
+        assert StudyDesignFilter.maximal() == StudyDesignFilter()
+        assert (parse_config("scenario.seed = 1\nfilter.preset = maximal")
+                == parse_config("scenario.seed = 1"))
+
     def test_filter_anchor_and_coprimary(self):
         cfg = parse_config("scenario.seed = 1\nfilter.anchor = onset_time\n"
                            "filter.coprimary_days = 2")
@@ -198,7 +205,7 @@ class TestOneKeyPath:
     """Parsing and sweeping set a key's field through the same path."""
 
     def test_float_keys_are_the_sweep_axes(self):
-        assert len(_KEYS) == 37
+        assert len(_KEYS) == 36
         assert tuple(k for k, (_, reader) in _KEYS.items()
                      if reader is _finite) == FLOAT_KEYS
 
@@ -231,6 +238,15 @@ class TestOneKeyPath:
         except ConfigError:
             return
         assert isinstance(cfg, ScenarioConfig)
+
+
+def test_readme_lists_every_config_key():
+    # The key table under "### Every key" in README.md, one row per key.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Every key\n", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(_KEYS)
 
 
 @pytest.mark.parametrize("build, field_name", [
