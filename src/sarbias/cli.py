@@ -98,9 +98,17 @@ def _write(rows: list[harness.ResultRow], path: str) -> int:
     return 0
 
 
+def _check_min(flag: str, value: int | None, low: int = 0) -> None:
+    """Refuse a flag below its least value; an unset flag passes."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _run_simulate(args: argparse.Namespace) -> int:
     if not (args.config and args.out):
         raise ValueError("simulate requires --config PATH and --out PATH")
+    _check_min("--seed", args.seed)
+    _check_min("--units", args.units_per_arm)
     _check_out(args.out)
     overrides = {name: getattr(args, name) for name in ("seed", "units_per_arm")
                  if getattr(args, name) is not None}
@@ -108,24 +116,17 @@ def _run_simulate(args: argparse.Namespace) -> int:
     return _write(harness.run_scenario(cfg), args.out)
 
 
-def _check_seed(args: argparse.Namespace) -> None:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
-    _check_seed(args)
-    if args.units < 0:
-        raise ValueError(f"--units must be >= 0, got {args.units}")
+    _check_min("--seed", args.seed)
+    _check_min("--units", args.units)
     _check_out(args.out)
     return _write(harness.sweep_figure(args.figure, units_per_arm=args.units,
                                        seed=args.seed), args.out)
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    _check_seed(args)
-    if args.units < 1:
-        raise ValueError(f"--units must be >= 1, got {args.units}")
+    _check_min("--seed", args.seed)
+    _check_min("--units", args.units, 1)
     ok = validation.main_validation(units_per_arm=args.units, seed=args.seed)
     return 0 if ok else 1
 

@@ -125,9 +125,10 @@ PRESET_FILTERS = {
 }
 
 
-@dataclass(frozen=True)
-class UnitAnalysis:
-    """Outcome of analyzing one observed unit under one design."""
+class UnitAnalysis(NamedTuple):
+    """Outcome of analyzing one observed unit under one design. An immutable
+    named tuple: it unpacks, indexes, compares and orders as the plain tuple
+    of its fields."""
 
     index_id: Optional[int]
     index_vaccinated: Optional[bool]
@@ -135,6 +136,13 @@ class UnitAnalysis:
     n_attributed_transmissions: int
     excluded: bool
     exclusion_reason: Optional[str] = None
+
+
+# Every unit without an index analyses to this one value; a record is
+# immutable, so all of them share it.
+_NO_INDEX = UnitAnalysis(index_id=None, index_vaccinated=None,
+                         n_at_risk_contacts=0, n_attributed_transmissions=0,
+                         excluded=True, exclusion_reason="no_index")
 
 
 def identify_index(obs: ObservedUnit) -> Optional[int]:
@@ -183,15 +191,11 @@ def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
     elif obs.first_positive[index_id] is None:
         index_id = None
     if index_id is None:
-        return UnitAnalysis(index_id=None, index_vaccinated=None,
-                            n_at_risk_contacts=0, n_attributed_transmissions=0,
-                            excluded=True, exclusion_reason="no_index")
+        return _NO_INDEX
 
     if (design.coprimary_exclusion_days is not None
             and _coprimary_excluded(obs, design.coprimary_exclusion_days)):
-        return UnitAnalysis(index_id=index_id, index_vaccinated=None,
-                            n_at_risk_contacts=0, n_attributed_transmissions=0,
-                            excluded=True, exclusion_reason="coprimary")
+        return UnitAnalysis(index_id, None, 0, 0, True, "coprimary")
 
     events = _anchor_times(obs, design.anchor)
     anchor = events[index_id]
@@ -208,11 +212,9 @@ def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
         if event is not None and lo <= event - anchor <= hi:
             n_attributed += 1
 
-    return UnitAnalysis(index_id=index_id,
-                        index_vaccinated=obs.persons[index_id].vaccinated,
-                        n_at_risk_contacts=n_at_risk,
-                        n_attributed_transmissions=n_attributed,
-                        excluded=False)
+    # Positional: a named tuple built from keywords takes twice as long.
+    return UnitAnalysis(index_id, obs.persons[index_id].vaccinated, n_at_risk,
+                        n_attributed, False)
 
 
 class EstimationError(ValueError):

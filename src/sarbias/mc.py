@@ -170,7 +170,8 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
         sd = unit.incubation_log_sd
         mu = math.log(unit.incubation_mean_days) - 0.5 * sd * sd
         onset = np.full((size, n), np.inf)
-        onset[sick] = acquisition[sick] + rng.lognormal(mu, sd, int(sick.sum()))
+        np.place(onset, sick, rng.lognormal(mu, sd, int(np.count_nonzero(sick))))
+        onset += acquisition  # inf stays inf where no onset was placed
     return CohortTruth(vax, acquisition, duration, onset, primary_sourced)
 
 
@@ -272,8 +273,7 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
     at_risk = (obs.tested.sum(axis=0) - 1  # the index has a positive test
                if design.require_contact_tested else size - 1)
     analysed = ~(no_index | coprimary)
-    return CohortAnalysis(np.where(analysed, in_window, 0),
-                          np.where(analysed, at_risk, 0),
+    return CohortAnalysis(in_window * analysed, at_risk * analysed,
                           index, no_index, coprimary)
 
 
@@ -292,8 +292,9 @@ def _count(truth: CohortTruth, analysis: CohortAnalysis,
     truth_arms = {not vaccinated: ArmCounts.from_units([], 0),
                   vaccinated: ArmCounts.from_units(
                       truth.primary_sourced.sum(axis=0), len(truth.vaccinated) - 1)}
-    excluded = Counter({("no_index", vaccinated): int(analysis.no_index.sum()),
-                        ("coprimary", vaccinated): int(analysis.coprimary.sum())})
+    excluded = Counter(
+        {("no_index", vaccinated): int(np.count_nonzero(analysis.no_index)),
+         ("coprimary", vaccinated): int(np.count_nonzero(analysis.coprimary))})
     return CohortCounts(observed, truth_arms, excluded)
 
 

@@ -321,9 +321,7 @@ def apply_policy(truth: UnitTruth, policy: TestingPolicy,
         k = policy.interval_days
         phases = _draw_phases(policy, participates, rng)
         n_slots = _slot_counts(policy, phases)
-        for pid, n_tests in enumerate(n_slots):
-            if n_tests > 0:
-                tested[pid] = True
+        tested = [was or n_tests > 0 for was, n_tests in zip(tested, n_slots)]
         for inf in truth.infections:
             pid = inf.person_id
             if n_slots[pid] <= 0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,9 +57,10 @@ class Person:
     vaccinated: bool
 
 
-@dataclass(frozen=True, slots=True)
-class Infection:
-    """One realized infection with full truth-level detail."""
+class Infection(NamedTuple):
+    """One realized infection with full truth-level detail. An immutable
+    named tuple: it unpacks, indexes, compares and orders as the plain tuple
+    of its fields; ``_replace`` gives a changed copy."""
 
     person_id: int
     acquisition_time: float
@@ -126,6 +127,20 @@ class UnitConfig:
         return tuple(constants)
 
     @cached_property
+    def _contact_probabilities(self) -> tuple[tuple[float, float], ...]:
+        """Per-contact transmission probability of a source under Bernoulli
+        transmission, indexed by its (vaccinated, symptomatic)."""
+        return tuple(tuple(self.symptom.per_contact_transmission(v, sick)
+                           for sick in (False, True)) for v in (False, True))
+
+    @cached_property
+    def _daily_hazards(self) -> tuple[float, float]:
+        """Daily transmission hazard of a source under the hazard modes,
+        indexed by its vaccination status."""
+        return (self.duration.daily_hazard(False),
+                self.duration.daily_hazard(True))
+
+    @cached_property
     def _incubation_log_mean(self) -> float:
         # Log-normal parameterized so the arithmetic mean is incubation_mean_days.
         sd = self.incubation_log_sd
@@ -138,6 +153,7 @@ class UnitTruth:
 
     ``persons`` is indexed by person id. :func:`simulate_unit` shares one
     tuple between every unit of the same shape, so it must not be mutated.
+    ``infections`` lists the :class:`Infection` records in acquisition order.
     """
 
     persons: tuple[Person, ...]
@@ -166,12 +182,14 @@ class UnitTruth:
 
 def _make_infection(cfg: UnitConfig, rng: np.random.Generator, person_id: int,
                     vaccinated: bool, acquisition_time: float,
-                    source_kind: SourceKind, source_id: Optional[int]) -> Infection:
-    # The draws are the doubles numpy's scalar ``uniform(low, high)`` and
-    # ``lognormal(mu, sd)`` return, without their per-call overhead.
+                    source_kind: SourceKind, source_id: Optional[int],
+                    coin: float, u: float) -> Infection:
+    # ``coin`` and ``u`` are the caller's symptom coin and duration uniform;
+    # the duration and incubation are the doubles numpy's scalar
+    # ``uniform(low, high)`` and ``lognormal(mu, sd)`` return.
     p_symptomatic, low, span = cfg._infection_constants[vaccinated]
-    symptomatic = rng.random() < p_symptomatic
-    duration = low + span * rng.random()
+    symptomatic = coin < p_symptomatic
+    duration = low + span * u
     onset = None
     if symptomatic:
         incubation = math.exp(cfg._incubation_log_mean
@@ -188,9 +206,10 @@ def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[Person, I
     clock. Symptom probability is ``rho_symptom`` for unvaccinated and
     ``lambda_symptom * rho_symptom`` for vaccinated primaries.
     """
-    vaccinated = rng.random() < cfg.p_primary_vaccinated
+    vax_coin, coin, u = rng.random(3).tolist()
+    vaccinated = vax_coin < cfg.p_primary_vaccinated
     infection = _make_infection(cfg, rng, 0, vaccinated, 0.0,
-                                SourceKind.PRIMARY, None)
+                                SourceKind.PRIMARY, None, coin, u)
     persons = _persons(cfg.unit_size, cfg.contacts_vaccinated, vaccinated)
     return persons[0], infection
 
@@ -203,33 +222,6 @@ def _persons(unit_size: int, contacts_vaccinated: bool,
     return (Person(id=0, vaccinated=primary_vaccinated),) + tuple(
         Person(id=i, vaccinated=contacts_vaccinated)
         for i in range(1, unit_size))
-
-
-def _pair_transmission_probability(cfg: UnitConfig, source: Infection,
-                                   source_vaccinated: bool) -> float:
-    mode = cfg.transmission_mode
-    if mode is TransmissionMode.PER_UNIT_BERNOULLI:
-        return cfg.symptom.per_contact_transmission(source_vaccinated,
-                                                    source.symptomatic)
-    hazard = cfg.duration.daily_hazard(source_vaccinated)
-    if mode is TransmissionMode.PER_DAY_HAZARD:
-        return min(source.duration_days * hazard, 1.0)
-    return 1.0 - math.exp(-source.duration_days * hazard)
-
-
-def _draw_transmission_time(cfg: UnitConfig, source: Infection,
-                            source_vaccinated: bool, u: float) -> float:
-    """Acquisition time within the source's infectious window, from one
-    uniform double ``u``."""
-    if cfg.transmission_mode is TransmissionMode.PER_DAY_HAZARD_EXACT:
-        # First-event time of the constant hazard, conditioned on the event
-        # falling inside the window.
-        hazard = cfg.duration.daily_hazard(source_vaccinated)
-        cap = 1.0 - math.exp(-hazard * source.duration_days)
-        offset = -math.log(1.0 - u * cap) / hazard
-    else:
-        offset = source.duration_days * u  # numpy's uniform(0, duration)
-    return source.acquisition_time + offset
 
 
 def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
@@ -249,11 +241,20 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
     # Heap entries: (time, sequence, target_id, source_kind, source_id).
     counter = 0
     heap: list[tuple[float, int, int, SourceKind, Optional[int]]] = []
+    mode = cfg.transmission_mode
+    exact = mode is TransmissionMode.PER_DAY_HAZARD_EXACT
 
     def push_transmissions(source: Infection) -> None:
         nonlocal counter
         src_vax = persons[source.person_id].vaccinated
-        p = _pair_transmission_probability(cfg, source, src_vax)
+        duration = source.duration_days
+        if mode is TransmissionMode.PER_UNIT_BERNOULLI:
+            p = cfg._contact_probabilities[src_vax][source.symptomatic]
+        else:
+            hazard = cfg._daily_hazards[src_vax]
+            p = (min(duration * hazard, 1.0)
+                 if mode is TransmissionMode.PER_DAY_HAZARD
+                 else 1.0 - math.exp(-duration * hazard))
         targets = [i for i in range(cfg.unit_size) if i not in infections]
         # Coins and transmission times are all plain doubles, and every
         # target takes at least its coin: draw that many in one call, the
@@ -261,9 +262,15 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
         draws = chain(rng.random(len(targets)).tolist(), iter(rng.random, None))
         for target_id in targets:
             if next(draws) < p:
-                t = _draw_transmission_time(cfg, source, src_vax, next(draws))
-                heapq.heappush(heap, (t, counter, target_id,
-                                      SourceKind.CONTACT, source.person_id))
+                u = next(draws)
+                # Uniform over the window (numpy's uniform(0, duration)), or,
+                # in the exact mode (never Bernoulli, so ``hazard`` is set),
+                # the hazard's first event given that it falls in the window,
+                # which it does with probability p.
+                offset = -math.log(1.0 - u * p) / hazard if exact else duration * u
+                heapq.heappush(heap, (source.acquisition_time + offset, counter,
+                                      target_id, SourceKind.CONTACT,
+                                      source.person_id))
                 counter += 1
 
     if cfg.community_daily_hazard > 0.0:
@@ -280,12 +287,13 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
         t, _, target_id, kind, source_id = heapq.heappop(heap)
         if target_id in infections:
             continue
+        coin, u = rng.random(2).tolist()
         infection = _make_infection(cfg, rng, target_id,
                                     persons[target_id].vaccinated, t, kind,
-                                    source_id)
+                                    source_id, coin, u)
         infections[target_id] = infection
         if cfg.contact_to_contact:
             push_transmissions(infection)
 
     # Pops come in time order, so insertion order is acquisition order.
-    return UnitTruth(persons=persons, infections=list(infections.values()))
+    return UnitTruth(persons, list(infections.values()))

@@ -200,7 +200,25 @@ class TestSimulate:
             config.write_text(SIM_CONFIG)
             argv += ["--seed", "-1"]
         assert main(argv) == 2
-        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        message = ("config error: seed must be >= 0, got -1" if where == "config"
+                   else "error: --seed must be >= 0, got -1")
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_units_flag_rejected(self, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SIM_CONFIG)
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--units", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --units must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_flags_checked_before_config_is_read(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(tmp_path / "missing.cfg"),
+                     "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_zero_units_header_only(self, tmp_path, capsys):

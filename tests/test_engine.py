@@ -182,3 +182,11 @@ def test_chunked_counts_pool_exactly(units, split):
     whole = ArmCounts.from_units(a, m)
     assert (ArmCounts.from_units(a[:split], m[:split])
             + ArmCounts.from_units(a[split:], m[split:])) == whole
+
+
+@given(st.lists(st.integers(0, 6), max_size=40), st.integers(0, 6))
+def test_shared_at_risk_counts_as_per_unit(attributed, m):
+    """A scalar at-risk count gives the counts of that count repeated."""
+    a = [min(x, m) for x in attributed]
+    assert ArmCounts.from_units(a, m) == ArmCounts.from_units(a, [m] * len(a))
+

@@ -246,6 +246,13 @@ class TestEstimateVeSar:
         with pytest.raises(EstimationError, match="insufficient data"):
             estimate_ve_sar([analysis(False, 10, 2)])
 
+    def test_analysis_is_an_immutable_value(self):
+        a, b = analysis(True, 10, 1), analysis(True, 10, 1)
+        with pytest.raises(AttributeError):
+            a.n_attributed_transmissions = 2
+        assert a == b and hash(a) == hash(b)
+        assert a.exclusion_reason is None
+
     def test_excluded_units_counted_not_pooled(self):
         analyses = [analysis(True, 10, 1), analysis(False, 10, 2),
                     UnitAnalysis(index_id=None, index_vaccinated=None,

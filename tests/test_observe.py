@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,7 +283,7 @@ class TestSummaryMatchesRecords:
             t = phase + int(inf.acquisition_time) * interval
             for _ in range(abs(nudge)):
                 t = math.nextafter(t, math.inf if nudge > 0 else -math.inf)
-            return replace(inf, acquisition_time=t)
+            return inf._replace(acquisition_time=t)
         truth = UnitTruth(persons=truth.persons,
                           infections=[on_edge(inf) for inf in truth.infections])
         policy = TestingPolicy.scheduled(interval, fixed_phase=phase)

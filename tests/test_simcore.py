@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ from sarbias import (DurationModelParams, EstimationError, SourceKind,
                      SymptomModelParams, TransmissionMode, UnitConfig,
                      sample_primary, simulate_unit, true_ve_sar)
 from sarbias.estimands import invert_target_to_nu, symptom_prompted_target_mu
+from sarbias.harness import spawn_rng
+from sarbias.simcore import Infection
 
 
 def rng_for(seed):
@@ -170,6 +174,43 @@ class TestSimulateUnit:
         a = simulate_unit(cfg, rng_for(99))
         b = simulate_unit(cfg, rng_for(99))
         assert a == b
+
+    def test_infection_is_an_immutable_value(self):
+        cfg = UnitConfig(contact_to_contact=True, community_daily_hazard=0.02)
+        a = simulate_unit(cfg, rng_for(99)).infections
+        b = simulate_unit(cfg, rng_for(99)).infections
+        with pytest.raises(AttributeError):
+            a[0].duration_days = 1.0
+        assert [hash(inf) for inf in a] == [hash(inf) for inf in b]
+        assert a[0]._replace(duration_days=1.0).duration_days == 1.0
+        assert a[0] == b[0]
+
+
+class TestTruthStreamPinned:
+    """Pinned truth of simulate_unit in every transmission mode, with chains
+    and community off and on, at sizes 4 and 8: every infection's fields
+    (floats exact, through ``float.hex``) and the stream position after the
+    last unit. Any change to the draws or their order changes the digest,
+    so such a change must update it on purpose."""
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        cases = itertools.product(TransmissionMode, (False, True), (4, 8))
+        for i, (mode, chains, size) in enumerate(cases):
+            cfg = UnitConfig(unit_size=size, transmission_mode=mode,
+                             contact_to_contact=chains,
+                             community_daily_hazard=0.004 if chains else 0.0)
+            rng = spawn_rng(2024, i)
+            for _ in range(300):
+                for inf in simulate_unit(cfg, rng).infections:
+                    values = [getattr(inf, name) for name in Infection._fields]
+                    h.update(repr([v.hex() if isinstance(v, float)
+                                   else getattr(v, "value", v)
+                                   for v in values]).encode())
+                h.update(b";")
+            h.update(rng.random().hex().encode())
+        assert h.hexdigest() == (
+            "b5c410dedb18a133013f78221a34461424d8e0f355f539a6559539d835c5a99e")
 
 
 class TestTrueVeSar:
