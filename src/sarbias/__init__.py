@@ -15,7 +15,7 @@ from .estimands import (DegenerateModelError, InfeasibleTargetError,
 from .harness import (ResultRow, ScenarioConfig, load_config, parse_config,
                       run_scenario, sweep_figure, write_csv)
 from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
-                    VESarEstimate, WindowAnchor, analyze_unit,
+                    VeRatio, WindowAnchor, analyze_unit,
                     estimate_ve_sar, identify_index, true_ve_sar)
 from .mc import mc_detection_fraction, run_cohort
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
@@ -32,7 +32,7 @@ __all__ = [
     "ObservedUnit", "ParameterError", "Person", "PolicyKind", "ResultRow",
     "ScenarioConfig", "SourceKind", "StudyDesignFilter", "SymptomModelParams",
     "TestRecord", "TestingPolicy", "TransmissionMode", "UnitAnalysis",
-    "UnitConfig", "UnitTruth", "VESarEstimate", "WindowAnchor",
+    "UnitConfig", "UnitTruth", "VeRatio", "WindowAnchor",
     "analyze_unit", "apply_policy", "estimate_ve_sar", "identify_index",
     "infrequent_observed_component", "infrequent_observed_mu",
     "infrequent_target_mu", "invert_target_to_nu", "load_config",

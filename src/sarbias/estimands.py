@@ -18,6 +18,8 @@ thread.
 
 from __future__ import annotations
 
+import math
+
 from .params import DurationModelParams, SymptomModelParams
 
 
@@ -108,6 +110,20 @@ def infrequent_target_mu(d: DurationModelParams) -> float:
     return d.duration_ratio * d.nu_daily
 
 
+def _duration_range(k: float, rho_v: float, c: float,
+                    **more: float) -> tuple[float, float]:
+    """An arm's duration range ``(rho_v - c, rho_v + c)``, once the inputs
+    are checked: each finite, ``k > 0`` and ``rho_v - c > 0``."""
+    for name, value in dict(k=k, rho_v=rho_v, c=c, **more).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if k <= 0.0:
+        raise ValueError(f"testing interval k must be > 0, got {k}")
+    if rho_v - c <= 0.0:
+        raise ValueError(f"rho_v - c must be > 0, got {rho_v - c}")
+    return rho_v - c, rho_v + c
+
+
 def sampling_fraction(k: float, rho_v: float, c: float) -> float:
     """Probability that an infection is detected by testing every ``k`` days.
 
@@ -126,11 +142,7 @@ def sampling_fraction(k: float, rho_v: float, c: float) -> float:
     The three pieces agree at the branch points, and the function is
     non-increasing in ``k``.
     """
-    if k <= 0.0:
-        raise ValueError(f"testing interval k must be > 0, got {k}")
-    lo, hi = rho_v - c, rho_v + c
-    if lo <= 0.0:
-        raise ValueError(f"rho_v - c must be > 0, got {lo}")
+    lo, hi = _duration_range(k, rho_v, c)
     if k <= lo:
         return 1.0
     if k >= hi:
@@ -159,11 +171,7 @@ def infrequent_observed_component(k: float, rho_v: float, c: float,
     Branch assignment follows the case analysis of the underlying
     integrals; the value is continuous in ``k`` at both branch points.
     """
-    if k <= 0.0:
-        raise ValueError(f"testing interval k must be > 0, got {k}")
-    lo, hi = rho_v - c, rho_v + c
-    if lo <= 0.0:
-        raise ValueError(f"rho_v - c must be > 0, got {lo}")
+    lo, hi = _duration_range(k, rho_v, c, tau_v=tau_v)
     if k <= lo:
         return tau_v * rho_v
     if k >= hi:
@@ -185,11 +193,7 @@ def infrequent_observed_component_swapped(k: float, rho_v: float, c: float,
     primary function agrees. Kept only so the validation suite can reject
     it explicitly. Not part of the supported API.
     """
-    if k <= 0.0:
-        raise ValueError(f"testing interval k must be > 0, got {k}")
-    lo, hi = rho_v - c, rho_v + c
-    if lo <= 0.0:
-        raise ValueError(f"rho_v - c must be > 0, got {lo}")
+    lo, hi = _duration_range(k, rho_v, c, tau_v=tau_v)
     if k < lo:
         return tau_v * rho_v
     if lo <= k <= hi:

@@ -20,6 +20,7 @@ import csv
 import io
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Optional
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import estimands
 from .infer import (PRESET_FILTERS, EstimationError, StudyDesignFilter,
-                    UnitAnalysis, WindowAnchor, analyze_unit, estimate_ve_sar)
+                    UnitAnalysis, VeRatio, WindowAnchor, analyze_unit,
+                    estimate_ve_sar)
 from .mc import run_cohort
 from .observe import PolicyKind, TestingPolicy, apply_policy
 from .params import DurationModelParams, SymptomModelParams
@@ -361,21 +363,35 @@ def _analytic_columns(cfg: ScenarioConfig) -> tuple[float, float]:
     return target, actual if reference else math.nan
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    return [min(CHUNK_UNITS, total - start)
-            for start in range(0, total, CHUNK_UNITS)]
+def _mc_columns(units_per_arm: int, estimate: Optional[VeRatio],
+                excluded: Counter) -> dict:
+    """A row's Monte Carlo columns: VE and SE (NaN without an estimate) and
+    the units excluded by reason, both arms summed, from a tally keyed
+    ``(reason, primary arm)`` as ``CohortCounts.excluded`` is."""
+    ve, se = ((math.nan, math.nan) if estimate is None
+              else (estimate.ve, estimate.se))
+    by_reason = Counter()
+    for (reason, _), n in excluded.items():
+        by_reason[reason] += n
+    return dict(actual_ve_mc=ve, mc_se=se, n_units=units_per_arm,
+                n_excluded_no_index=by_reason["no_index"],
+                n_excluded_coprimary=by_reason["coprimary"])
 
 
-def _run_chunk(cfg: ScenarioConfig, arm_vaccinated: bool,
-               rng: np.random.Generator, n: int) -> list[UnitAnalysis]:
-    unit_cfg = replace(cfg.unit,
-                       p_primary_vaccinated=1.0 if arm_vaccinated else 0.0)
+def _run_arm(cfg: ScenarioConfig, row_index: int,
+             vaccinated: bool) -> list[UnitAnalysis]:
+    """The analyses of one arm's units. Chunk ``j`` of :data:`CHUNK_UNITS`
+    units draws from the stream of ``(seed, row, arm, j)``, where the
+    vaccinated arm is 0 and the unvaccinated arm 1."""
+    unit_cfg = replace(cfg.unit, p_primary_vaccinated=float(vaccinated))
     analyses = []
-    for _ in range(n):
-        truth = simulate_unit(unit_cfg, rng)
-        obs = apply_policy(truth, cfg.policy, rng)
-        override = truth.primary_id if cfg.index_rule == "true_primary" else None
-        analyses.append(analyze_unit(obs, cfg.design, index_id=override))
+    for chunk, start in enumerate(range(0, cfg.units_per_arm, CHUNK_UNITS)):
+        rng = spawn_rng(cfg.seed, row_index, 0 if vaccinated else 1, chunk)
+        for _ in range(min(CHUNK_UNITS, cfg.units_per_arm - start)):
+            truth = simulate_unit(unit_cfg, rng)
+            obs = apply_policy(truth, cfg.policy, rng)
+            override = truth.primary_id if cfg.index_rule == "true_primary" else None
+            analyses.append(analyze_unit(obs, cfg.design, index_id=override))
     return analyses
 
 
@@ -383,7 +399,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     """Run one scenario (optionally swept) through the object pipeline.
 
     Deterministic in ``(config, seed)``: re-running writes byte-identical
-    CSV. ``units_per_arm = 0`` produces no rows (header-only CSV).
+    CSV. ``units_per_arm = 0`` produces no rows (header-only CSV). A row
+    whose estimate is undefined gets NaN VE and SE.
     """
     if cfg.units_per_arm == 0:
         return []
@@ -391,20 +408,14 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for row_index, value in enumerate(grid):
         cfg_i = cfg if value is None else apply_axis(cfg, cfg.sweep_axis, value)
-        analyses: list[UnitAnalysis] = []
-        for arm_index, arm in enumerate((True, False)):
-            for chunk_index, n in enumerate(_chunk_sizes(cfg.units_per_arm)):
-                rng = spawn_rng(cfg.seed, row_index, arm_index, chunk_index)
-                analyses.extend(_run_chunk(cfg_i, arm, rng, n))
-        excluded = {}
-        for a in analyses:
-            if a.excluded:
-                excluded[a.exclusion_reason] = excluded.get(a.exclusion_reason, 0) + 1
+        arms = {arm: _run_arm(cfg_i, row_index, arm) for arm in (True, False)}
+        excluded = Counter((a.exclusion_reason, arm)
+                           for arm, analyses in arms.items()
+                           for a in analyses if a.excluded)
         try:
-            estimate = estimate_ve_sar(analyses)
-            ve_mc, se = estimate.ve, estimate.se
+            estimate = estimate_ve_sar(arms[True] + arms[False])
         except EstimationError:
-            ve_mc, se = math.nan, math.nan
+            estimate = None
         target, actual = _analytic_columns(cfg_i)
         rows.append(ResultRow(
             scenario_id=cfg.scenario_id,
@@ -415,11 +426,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
             delta=cfg_i.unit.symptom.delta,
             one_minus_delta=1.0 - cfg_i.unit.symptom.delta,
             target_ve=target, actual_ve_analytic=actual,
-            actual_ve_mc=ve_mc, mc_se=se,
-            n_units=cfg.units_per_arm,
-            n_excluded_no_index=excluded.get("no_index", 0),
-            n_excluded_coprimary=excluded.get("coprimary", 0),
-        ))
+            **_mc_columns(cfg.units_per_arm, estimate, excluded)))
     return rows
 
 
@@ -497,9 +504,10 @@ def sweep_figure(figure: str, units_per_arm: int = 0,
     testing; cells needing ``nu > 1`` are emitted as ``feasible = 0`` rows,
     not dropped. Figures 1b and A1 solve the daily hazard ratio from the
     target VE under testing every ``k`` days. ``units_per_arm > 0`` adds
-    Monte Carlo columns from the cohort engine, row ``i`` drawing from the
-    stream of ``(seed, i)`` on the worker pool of :func:`_parallel_map`, so
-    the bytes do not depend on the worker count.
+    the Monte Carlo columns from a cohort-engine run, row ``i`` drawing
+    from the stream of ``(seed, i)`` on the worker pool of
+    :func:`_parallel_map`, so the bytes do not depend on the worker count.
+    A row whose estimate is undefined raises ``EstimationError``.
     """
     scenario_id = f"figure_{figure}"
 
@@ -511,10 +519,9 @@ def sweep_figure(figure: str, units_per_arm: int = 0,
         actual = _analytic_columns(cfg)[1]
         if units_per_arm <= 0:
             return ResultRow(scenario_id, actual_ve_analytic=actual, **columns)
-        mc = run_cohort(cfg, units_per_arm,
-                        spawn_rng(seed, row_index)).observed_ratio()
-        return ResultRow(scenario_id, actual_ve_analytic=actual,
-                         actual_ve_mc=mc.ve, mc_se=mc.se,
-                         n_units=units_per_arm, **columns)
+        counts = run_cohort(cfg, units_per_arm, spawn_rng(seed, row_index))
+        return ResultRow(scenario_id, actual_ve_analytic=actual, **columns,
+                         **_mc_columns(units_per_arm, counts.observed_ratio(),
+                                       counts.excluded))
 
     return _parallel_map(run_row, list(enumerate(FIGURE_GRIDS[figure])))

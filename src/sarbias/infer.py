@@ -13,9 +13,10 @@ published household and contact-tracing studies; see the preset
 constructors on :class:`StudyDesignFilter`.
 
 The VE-SAR estimate and its standard error are computed in one place,
-:func:`ve_from_arms` over two arms' :class:`ArmCounts`. The observed
-analysis (:func:`estimate_ve_sar`), the truth layer (:func:`true_ve_sar`)
-and the Monte Carlo oracles of :mod:`sarbias.mc` all call it.
+:func:`ve_from_arms` over two arms' :class:`ArmCounts`, and reported in one
+type, :class:`VeRatio`. The observed analysis (:func:`estimate_ve_sar`),
+the truth layer (:func:`true_ve_sar`) and the cohort engine of
+:mod:`sarbias.mc` all call it.
 """
 
 from __future__ import annotations
@@ -271,11 +272,13 @@ class ArmCounts:
 
 class VeRatio(NamedTuple):
     """The SAR ratio (vaccinated over unvaccinated arm), VE = 1 - ratio,
-    and their delta-method standard error."""
+    their delta-method standard error, and the two arms' pooled SARs."""
 
     mu_ratio: float
     ve: float
     se: float
+    sar_v: float
+    sar_u: float
 
 
 def ve_from_arms(arm_v: ArmCounts, arm_u: ArmCounts) -> VeRatio:
@@ -296,17 +299,7 @@ def ve_from_arms(arm_v: ArmCounts, arm_u: ArmCounts) -> VeRatio:
     ratio = sar_v / sar_u
     se = math.sqrt(arm_v.sar_variance / sar_u ** 2
                    + sar_v ** 2 * arm_u.sar_variance / sar_u ** 4)
-    return VeRatio(ratio, 1.0 - ratio, se)
-
-
-@dataclass(frozen=True)
-class VESarEstimate:
-    """Pooled VE-SAR estimate with its delta-method standard error."""
-
-    sar_v: float
-    sar_u: float
-    ve: float
-    se: float
+    return VeRatio(ratio, 1.0 - ratio, se, sar_v, sar_u)
 
 
 def _index_arm(analyses: list[UnitAnalysis], vaccinated: bool) -> ArmCounts:
@@ -315,7 +308,7 @@ def _index_arm(analyses: list[UnitAnalysis], vaccinated: bool) -> ArmCounts:
                                 [a.n_at_risk_contacts for a in rows])
 
 
-def estimate_ve_sar(analyses: list[UnitAnalysis]) -> VESarEstimate:
+def estimate_ve_sar(analyses: list[UnitAnalysis]) -> VeRatio:
     """Pooled naive VE-SAR from per-unit analyses.
 
     Arms are formed by the *index* case's vaccination status, which is all
@@ -325,12 +318,10 @@ def estimate_ve_sar(analyses: list[UnitAnalysis]) -> VESarEstimate:
     Raises:
         EstimationError: see :func:`ve_from_arms`.
     """
-    arm_v, arm_u = (_index_arm(analyses, arm) for arm in (True, False))
-    _, ve, se = ve_from_arms(arm_v, arm_u)
-    return VESarEstimate(sar_v=arm_v.sar, sar_u=arm_u.sar, ve=ve, se=se)
+    return ve_from_arms(_index_arm(analyses, True), _index_arm(analyses, False))
 
 
-def true_ve_sar(units: list[UnitTruth]) -> float:
+def true_ve_sar(units: list[UnitTruth]) -> VeRatio:
     """VE against the SAR computed from fully observed units.
 
     Pools primary-sourced transmissions over all contacts, per primary
@@ -348,6 +339,5 @@ def true_ve_sar(units: list[UnitTruth]) -> float:
         attributed, at_risk = arms[unit.primary_vaccinated]
         attributed.append(unit.primary_sourced_transmissions())
         at_risk.append(unit.n_contacts())
-    _, ve, _ = ve_from_arms(ArmCounts.from_units(*arms[True]),
-                            ArmCounts.from_units(*arms[False]))
-    return ve
+    return ve_from_arms(ArmCounts.from_units(*arms[True]),
+                        ArmCounts.from_units(*arms[False]))

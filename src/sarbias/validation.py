@@ -96,12 +96,11 @@ def check_piecewise_interval(d: DurationModelParams, k: float,
     analytic = estimands.infrequent_observed_mu(k, d)
     swapped = (estimands.infrequent_observed_component_swapped(k, d.rho1, d.c, d.tau1)
                / estimands.infrequent_observed_component_swapped(k, d.rho0, d.c, d.tau0))
-    out = [_zcheck(f"observed ratio, k={k:g}", analytic, mc.mu_ratio, mc.se)]
-    z_primary = (mc.mu_ratio - analytic) / mc.se if mc.se > 0 else math.inf
+    primary = _zcheck(f"observed ratio, k={k:g}", analytic, mc.mu_ratio, mc.se)
     z_alt = (mc.mu_ratio - swapped) / mc.se if mc.se > 0 else math.inf
     agree = math.isclose(analytic, swapped, rel_tol=1e-12)
     rejected = abs(z_alt) > 3.0 and not agree
-    prefers_swapped = abs(z_primary) > 3.0 and abs(z_alt) <= 3.0
+    prefers_swapped = abs(primary.z) > 3.0 and abs(z_alt) <= 3.0
     if agree:
         note = "branches coincide here"
     elif rejected:
@@ -110,11 +109,10 @@ def check_piecewise_interval(d: DurationModelParams, k: float,
         note = "oracle prefers the swapped assignment"
     else:
         note = "underpowered at this replication"
-    out.append(CheckResult(
+    return [primary, CheckResult(
         name=f"swapped-branch control, k={k:g}",
         expected=swapped, observed=mc.mu_ratio, se=mc.se, z=z_alt,
-        passed=not prefers_swapped, note=note))
-    return out
+        passed=not prefers_swapped, note=note)]
 
 
 def _tail_pair(d: DurationModelParams, units_per_arm: int,

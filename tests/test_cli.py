@@ -55,6 +55,23 @@ class TestAnalytic:
             assert main(["analytic"] + argv) == 0
             assert capsys.readouterr().out.strip() == expected
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("form, flag, name", [
+        ("sampling-fraction", "--k", "k"),
+        ("infrequent-observed-mu", "--k", "k"),
+        ("sampling-fraction", "--rho-v", "rho_v"),
+        ("infrequent-observed-component", "--tau-v", "tau_v"),
+        ("invert-nu", "--target-ve", "target_ve"),
+    ])
+    def test_non_finite_flag_rejected(self, form, flag, name, value, capsys):
+        # The bare-float flags reach the closed forms unchecked by the
+        # parameter bundles; the forms refuse them, naming the value.
+        assert main(["analytic", "--form", form, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be" in captured.err
+        assert f"got {value}" in captured.err
+
 
 class TestSimulate:
     def test_requires_config(self, capsys):
@@ -257,12 +274,37 @@ class TestSweep:
             "figure_1b,interval_k,1,1,nan,nan,0.5,0.5,0.490545843739,"
             "0.0157605118988,20000,0,0,1",
             "figure_1b,interval_k,8,8,nan,nan,0.5,0.419572767952,"
-            "0.419759114305,0.0185485256621,20000,0,0,1",
+            "0.419759114305,0.0185485256621,20000,4495,0,1",
             "figure_1b,interval_k,1,1,nan,nan,0.7,0.7,0.702287470126,"
             "0.0110923487437,20000,0,0,1",
             "figure_1b,interval_k,14,14,nan,nan,0.9,0.88043212393,"
-            "0.889674006535,0.00895717345374,20000,0,0,1",
+            "0.889674006535,0.00895717345374,20000,11148,0,1",
         ]
+
+    @pytest.mark.parametrize("figure", ["1a", "1b"])
+    def test_exclusions_are_the_engine_tallies(self, figure, tmp_path):
+        # Each Monte Carlo row counts its own cohort's exclusions, both
+        # arms summed, from the stream of (seed, row).
+        out = tmp_path / "fig.csv"
+        assert main(["sweep", "--figure", figure, "--units", "2000",
+                     "--seed", "5", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = harness.FIGURE_GRIDS[figure]
+        assert len(rows) == len(cells)
+        no_index = 0
+        for i, (row, cell) in enumerate(zip(rows, cells)):
+            cfg, _ = harness._figure_cell(figure, cell)
+            if cfg is None:
+                assert row["n_excluded_no_index"] == "0"
+                continue
+            excluded = harness.run_cohort(cfg, 2000,
+                                          harness.spawn_rng(5, i)).excluded
+            for reason in ("no_index", "coprimary"):
+                assert int(row[f"n_excluded_{reason}"]) == (
+                    excluded[(reason, True)] + excluded[(reason, False)])
+            no_index += int(row["n_excluded_no_index"])
+        assert no_index > 0
 
     def test_negative_units_rejected(self, tmp_path, capsys):
         out = tmp_path / "fig1b.csv"

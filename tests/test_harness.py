@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 import re
 import threading
 from dataclasses import replace
@@ -14,7 +15,7 @@ from sarbias.harness import (_KEYS, CSV_COLUMNS, ConfigError, _analytic_columns,
                              _finite, _parallel_map, _workers, apply_axis,
                              fmt12, rows_to_csv, spawn_rng, sweep_figure,
                              write_csv)
-from sarbias.infer import StudyDesignFilter, WindowAnchor
+from sarbias.infer import StudyDesignFilter, WindowAnchor, analyze_unit
 from sarbias.observe import PolicyKind, TestingPolicy
 from sarbias.simcore import UnitConfig
 
@@ -311,6 +312,37 @@ class TestRunScenario:
         rows = run_scenario(replace(cfg, units_per_arm=200))
         assert [r.sweep_value for r in rows] == [0.5, 1.0]
         assert rows[1].target_ve == pytest.approx(1 - 0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        # Harris: units of four tested every 7 days, some dropped as
+        # co-primary, some without an index.
+        "scenario.seed = 11\nscenario.units_per_arm = 600\nunit.size = 4\n"
+        "unit.transmission_mode = per_day_hazard\npolicy.kind = scheduled\n"
+        "policy.interval_days = 7\npolicy.participation = 0.8\n"
+        "filter.preset = harris\n",
+        GOOD_CONFIG + "filter.coprimary_days = 1\n"
+        "sweep.axis = symptom.delta\nsweep.grid = 0.25, 1.0\n",
+    ], ids=["harris", "two-row-sweep"])
+    def test_exclusion_columns_tally_the_analyses(self, text, monkeypatch):
+        analyses = []
+
+        def recording(*args, **kwargs):
+            analyses.append(analyze_unit(*args, **kwargs))
+            return analyses[-1]
+
+        monkeypatch.setattr(harness, "analyze_unit", recording)
+        cfg = parse_config(text)
+        rows = run_scenario(cfg)
+        per_row = 2 * cfg.units_per_arm
+        assert len(analyses) == per_row * len(rows)
+        for i, row in enumerate(rows):
+            tally = Counter(a.exclusion_reason
+                            for a in analyses[i * per_row:(i + 1) * per_row]
+                            if a.excluded)
+            assert (row.n_excluded_no_index, row.n_excluded_coprimary) == (
+                tally["no_index"], tally["coprimary"])
+            assert tally["no_index"] > 0 and tally["coprimary"] > 0
+            assert sum(tally.values()) < per_row
 
     def test_scheduled_regime_analytic_columns(self):
         text = ("scenario.seed = 7\nscenario.units_per_arm = 300\n"

@@ -312,8 +312,10 @@ class TestOneEstimator:
         if isinstance(observed, str):
             assert oracle == truth_ve == observed
             return
-        assert oracle.ve == truth_ve == observed.ve
+        assert oracle.ve == truth_ve.ve == observed.ve
         assert oracle.se == observed.se
+        # One result type: the whole VeRatios agree, arm SARs included.
+        assert oracle == truth_ve == observed
 
         # The exact integer variance equals the cluster-robust sum.
         arm_v, arm_u = arm(True), arm(False)

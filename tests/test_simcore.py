@@ -217,12 +217,12 @@ class TestTrueVeSar:
     def test_inert_vaccine_ve_near_zero(self):
         cfg = UnitConfig(symptom=SymptomModelParams(lambda_symptom=1.0,
                                                     delta=1.0, nu=1.0, tau=0.3))
-        ve = true_ve_sar(simulate_many(cfg, 20_000, 16))
+        ve = true_ve_sar(simulate_many(cfg, 20_000, 16)).ve
         assert abs(ve) < 0.04
 
     def test_nu_zero_gives_ve_one(self):
         cfg = UnitConfig(symptom=SymptomModelParams(lambda_symptom=1.0, nu=0.0))
-        ve = true_ve_sar(simulate_many(cfg, 3_000, 17))
+        ve = true_ve_sar(simulate_many(cfg, 3_000, 17)).ve
         assert ve == 1.0
 
     def test_closes_loop_with_inverted_target(self):
@@ -230,7 +230,7 @@ class TestTrueVeSar:
         s = SymptomModelParams(nu=nu)
         assert 1.0 - symptom_prompted_target_mu(s) == pytest.approx(0.5, abs=1e-12)
         cfg = UnitConfig(symptom=s)
-        ve = true_ve_sar(simulate_many(cfg, 40_000, 18))
+        ve = true_ve_sar(simulate_many(cfg, 40_000, 18)).ve
         assert abs(ve - 0.5) < 0.03
 
     def test_errors(self):
