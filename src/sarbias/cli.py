@@ -81,8 +81,11 @@ def _run_analytic(args: argparse.Namespace) -> int:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an output path in a missing directory, or naming a directory,
-    before any work. The write reports whatever else goes wrong."""
+    """Refuse an empty output path, one in a missing directory, or one
+    naming a directory, before any work. The write reports whatever else
+    goes wrong."""
+    if not path:
+        raise ValueError("--out must name a file, got ''")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"cannot write {path}: No such file or directory")
     if os.path.isdir(path):

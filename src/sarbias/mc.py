@@ -337,25 +337,15 @@ def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
     detected when that offset lands inside the duration. Returns
     (fraction, standard error).
 
-    Draws ``n`` durations, then ``n`` offsets, from the PCG64 stream
-    ``rng`` and leaves it after them. The offsets are read from a copy of
-    the stream advanced past the durations, so both are streamed
-    :data:`COHORT_CHUNK` at a time.
+    Draws :data:`COHORT_CHUNK` durations and then as many offsets at a
+    time, in order from ``rng``, so it holds one chunk of each at once and
+    streams from any numpy bit generator.
     """
-    ahead = type(rng.bit_generator)()
-    ahead.state = rng.bit_generator.state
-    ahead.advance(n)  # one draw per double
-    offsets = np.random.Generator(ahead)
     detected = 0
     for start in range(0, n, COHORT_CHUNK):
         m = min(COHORT_CHUNK, n - start)
         durations = rng.uniform(rho_v - c, rho_v + c, m)
-        detected += int(np.count_nonzero(offsets.uniform(0.0, interval_k, m)
+        detected += int(np.count_nonzero(rng.uniform(0.0, interval_k, m)
                                          < durations))
-    # Only the generator state moves on: advance() dropped the buffered
-    # 32 bits that ``rng`` keeps.
-    state = rng.bit_generator.state
-    state["state"] = ahead.state["state"]
-    rng.bit_generator.state = state
     f = detected / n
     return f, math.sqrt(f * (1.0 - f) / n)

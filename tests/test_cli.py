@@ -408,6 +408,12 @@ class TestOutCheckedFirst:
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_empty_path_refused_before_the_run(self, argv, capsys):
+        assert main(argv + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_small_run_passes_and_prints_lines(self, capsys):

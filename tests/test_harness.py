@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from sarbias import (ScenarioConfig, harness, parse_config, run_cohort,
-                     run_scenario, run_validation_suite)
+                     run_scenario, run_validation_suite, validation)
 from sarbias.harness import (_KEYS, CSV_COLUMNS, ConfigError, _analytic_columns,
                              _finite, _parallel_map, _workers, apply_axis,
                              fmt12, rows_to_csv, spawn_rng, sweep_figure,
@@ -573,3 +574,30 @@ class TestWorkerPool:
             results.append(run_validation_suite(units_per_arm=150_000))
         assert results[0] == results[1] == results[2]
         assert len(results[0]) == 25
+
+    def test_no_generator_reaches_two_oracle_calls(self, monkeypatch):
+        # Wrapped as the benchmark's tracer wraps them; the generators
+        # themselves are kept, so a freed one's id cannot be reused.
+        calls = Counter()
+        generators = []
+
+        def recording(name):
+            oracle = getattr(validation, name)
+            signature = inspect.signature(oracle)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                generators.append(
+                    signature.bind(*args, **kwargs).arguments["rng"])
+                return oracle(*args, **kwargs)
+            return call
+
+        for name in ("mc_infrequent_observed", "mc_symptom_prompted_ve",
+                     "mc_fully_observed_naive", "mc_detection_fraction"):
+            monkeypatch.setattr(validation, name, recording(name))
+        run_validation_suite(units_per_arm=2_000)
+        assert calls == {"mc_infrequent_observed": 11,
+                         "mc_symptom_prompted_ve": 1,
+                         "mc_fully_observed_naive": 1,
+                         "mc_detection_fraction": 3}
+        assert len({id(rng) for rng in generators}) == len(generators) == 16

@@ -95,21 +95,23 @@ class TestDetectionBridge:
             8.0, 7.0, 10.0, 1_000_000, np.random.default_rng(1)))
         assert peak < 4 * COHORT_CHUNK * 8
 
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_same_bits_as_two_arrays(self, buffered):
-        # n not a multiple of the chunk; the stream may hold a buffered
-        # 32-bit half, which the draws of doubles leave alone.
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+        np.random.SFC64, np.random.MT19937])
+    def test_chunked_in_order_draws_on_every_bit_generator(self, bit_generator):
+        # n not a multiple of the chunk: each chunk draws its durations,
+        # then its offsets, from the one stream.
         n = 3 * COHORT_CHUNK + 12_345
-        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        if buffered:
-            rng.integers(0, 9, dtype=np.uint32)
-            reference.integers(0, 9, dtype=np.uint32)
-        durations = reference.uniform(8.0 - 7.0, 8.0 + 7.0, n)
-        offsets = reference.uniform(0.0, 10.0, n)
-        f = float(np.mean(offsets < durations))
+        reference = np.random.Generator(bit_generator(5))
+        detected = 0
+        for start in range(0, n, COHORT_CHUNK):
+            m = min(COHORT_CHUNK, n - start)
+            durations = reference.uniform(8.0 - 7.0, 8.0 + 7.0, m)
+            detected += int(np.sum(reference.uniform(0.0, 10.0, m) < durations))
+        f = detected / n
+        rng = np.random.Generator(bit_generator(5))
         assert mc_detection_fraction(8.0, 7.0, 10.0, n, rng) == (
             f, math.sqrt(f * (1.0 - f) / n))
-        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("oracle", [
