@@ -17,7 +17,7 @@ from .harness import (ResultRow, ScenarioConfig, load_config, parse_config,
 from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
                     VeRatio, WindowAnchor, analyze_unit,
                     estimate_ve_sar, identify_index, true_ve_sar)
-from .mc import mc_detection_fraction, run_cohort
+from .mc import run_cohort
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
 from .params import DurationModelParams, ParameterError, SymptomModelParams
 from .simcore import (Infection, Person, SourceKind, TransmissionMode,
@@ -36,7 +36,7 @@ __all__ = [
     "analyze_unit", "apply_policy", "estimate_ve_sar", "identify_index",
     "infrequent_observed_component", "infrequent_observed_mu",
     "infrequent_target_mu", "invert_target_to_nu", "load_config",
-    "mc_detection_fraction", "parse_config", "run_cohort", "run_scenario",
+    "parse_config", "run_cohort", "run_scenario",
     "run_validation_suite", "sample_primary", "sampling_fraction",
     "simulate_unit", "sweep_figure", "symptom_prompted_actual_mu",
     "symptom_prompted_target_mu", "true_ve_sar", "write_csv",

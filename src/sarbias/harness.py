@@ -266,10 +266,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse the scenario file at ``path``. A file that cannot be read as
-    UTF-8 text raises :class:`ConfigError` naming the path."""
+    """Parse the scenario file at ``path``, skipping a leading byte-order
+    mark. A file that cannot be read as UTF-8 text raises
+    :class:`ConfigError` naming the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -324,43 +325,38 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
 
 def _analytic_columns(cfg: ScenarioConfig) -> tuple[float, float]:
     """(target VE, analytic observed VE) where the closed forms hold, NaN
-    elsewhere.
-
-    The target needs the closed forms' generative model: the transmission
-    mode they assume for the policy kind, no community or contact-to-contact
-    infection, and unvaccinated contacts. The observed VE also needs their
-    analysis: the true primary as index over a maximal window, no co-primary
-    rule, every contact in the denominator, the test-time anchor, testing
-    without opt-outs over the 60-day horizon, and symptom tests without
-    delay or schedules from per-person random phases.
-    """
+    elsewhere. The target needs the unit to follow their generative model:
+    the reference config's transmission mode, no community or
+    contact-to-contact infection, and unvaccinated contacts. The observed VE
+    also needs the row's index rule, policy and design to equal those of the
+    reference config at the row's parameters, a window covering the
+    reference's counting as maximal."""
     unit, policy, design = cfg.unit, cfg.policy, cfg.design
+    s, d = unit.symptom, unit.duration
     if policy.kind is PolicyKind.SYMPTOM_PROMPTED:
-        mode = TransmissionMode.PER_UNIT_BERNOULLI
+        reference = symptom_reference(s, d)
     elif policy.kind is PolicyKind.SCHEDULED:
-        mode = TransmissionMode.PER_DAY_HAZARD
+        reference = scheduled_reference(d, policy.interval_days)
     else:
         return math.nan, math.nan
-    if (unit.transmission_mode is not mode or unit.community_daily_hazard > 0
-            or unit.contact_to_contact or unit.contacts_vaccinated):
+    if (unit.transmission_mode is not reference.unit.transmission_mode
+            or unit.community_daily_hazard > 0 or unit.contact_to_contact
+            or unit.contacts_vaccinated):
         return math.nan, math.nan
-    s, d = unit.symptom, unit.duration
-    lo, hi = design.attribution_window
-    reference = (cfg.index_rule == "true_primary" and lo <= -60.0 and hi >= 60.0
-                 and design.coprimary_exclusion_days is None
-                 and not design.require_contact_tested
-                 and design.anchor is WindowAnchor.TEST_TIME
-                 and policy.participation >= 1.0 and policy.horizon_days == 60.0)
-    if mode is TransmissionMode.PER_UNIT_BERNOULLI:
+    if policy.kind is PolicyKind.SYMPTOM_PROMPTED:
         target = 1.0 - estimands.symptom_prompted_target_mu(s)
         actual = 1.0 - estimands.symptom_prompted_actual_mu(s)
-        reference = reference and policy.delay_days == 0.0
     else:
         target = 1.0 - estimands.infrequent_target_mu(d)
         actual = 1.0 - estimands.infrequent_observed_mu(policy.interval_days, d)
-        reference = (reference and not policy.shared_phase
-                     and policy.fixed_phase is None)
-    return target, actual if reference else math.nan
+    lo, hi = design.attribution_window
+    maximal = reference.design.attribution_window
+    if lo <= maximal[0] and hi >= maximal[1]:
+        design = replace(design, attribution_window=maximal)
+    if (cfg.index_rule, policy, design) != (reference.index_rule,
+                                            reference.policy, reference.design):
+        actual = math.nan
+    return target, actual
 
 
 def _mc_columns(units_per_arm: int, estimate: Optional[VeRatio],
@@ -432,14 +428,13 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
 
 # --- reference configs of the closed forms -----------------------------------
 
-def scheduled_reference(d: DurationModelParams, interval_k: float,
-                        transmission: TransmissionMode = (
-                            TransmissionMode.PER_DAY_HAZARD)) -> ScenarioConfig:
+def scheduled_reference(d: DurationModelParams, interval_k: float) -> ScenarioConfig:
     """Units of two tested every ``interval_k`` days from per-person random
     phases, analysed from the true primary over a maximal window: the
     regime of the infrequent-testing closed forms."""
     return ScenarioConfig(
-        unit=UnitConfig(unit_size=2, duration=d, transmission_mode=transmission),
+        unit=UnitConfig(unit_size=2, duration=d,
+                        transmission_mode=TransmissionMode.PER_DAY_HAZARD),
         policy=TestingPolicy.scheduled(interval_k), index_rule="true_primary")
 
 

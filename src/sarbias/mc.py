@@ -327,25 +327,3 @@ def run_cohort(cfg: "ScenarioConfig", units_per_arm: int,
             del truth
     return total
 
-
-def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
-                          n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Empirical probability that scheduled testing detects an infection.
-
-    Realizes the schedule: with a uniform phase, the first test after
-    acquisition falls a Uniform(0, k) offset later, and the infection is
-    detected when that offset lands inside the duration. Returns
-    (fraction, standard error).
-
-    Draws :data:`COHORT_CHUNK` durations and then as many offsets at a
-    time, in order from ``rng``, so it holds one chunk of each at once and
-    streams from any numpy bit generator.
-    """
-    detected = 0
-    for start in range(0, n, COHORT_CHUNK):
-        m = min(COHORT_CHUNK, n - start)
-        durations = rng.uniform(rho_v - c, rho_v + c, m)
-        detected += int(np.count_nonzero(rng.uniform(0.0, interval_k, m)
-                                         < durations))
-    f = detected / n
-    return f, math.sqrt(f * (1.0 - f) / n)

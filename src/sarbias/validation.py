@@ -1,8 +1,8 @@
 """Oracle-versus-analytic validation suite.
 
-Every closed form in :mod:`sarbias.estimands` is checked against the
-seeded cohort engine of :mod:`sarbias.mc` on a config that realizes the
-closed form's sampling process. A check passes when the simulated value
+Every closed form in :mod:`sarbias.estimands` is checked against a seeded
+oracle of its sampling process: the cohort engine of :mod:`sarbias.mc` on a
+config, or the testing schedule alone. A check passes when the simulated value
 sits within three Monte Carlo standard errors of the analytic value; the
 swapped-branch negative control passes when the oracle *rejects* it at
 three standard errors for at least one interior testing interval.
@@ -19,7 +19,7 @@ from . import estimands
 from .harness import (ScenarioConfig, _parallel_map, scheduled_reference,
                       spawn_rng, symptom_reference)
 from .infer import StudyDesignFilter
-from .mc import CohortCounts, mc_detection_fraction, run_cohort
+from .mc import COHORT_CHUNK, CohortCounts, run_cohort
 from .observe import TestingPolicy
 from .params import DurationModelParams, SymptomModelParams
 from .simcore import TransmissionMode, UnitConfig
@@ -27,14 +27,12 @@ from .simcore import TransmissionMode, UnitConfig
 PIECEWISE_K_GRID = (1.0, 3.0, 7.0, 10.0, 14.0, 21.0, 25.0)
 
 
-# The checks' three reference cohorts, each the cohort engine on a config.
+# The checks' four oracles: three cohort-engine configs and the schedule.
 
 def mc_infrequent_observed(d: DurationModelParams, interval_k: float,
-                           units_per_arm: int, rng: np.random.Generator,
-                           transmission: TransmissionMode = (
-                               TransmissionMode.PER_DAY_HAZARD)) -> CohortCounts:
-    return run_cohort(scheduled_reference(d, interval_k, transmission),
-                      units_per_arm, rng)
+                           units_per_arm: int,
+                           rng: np.random.Generator) -> CohortCounts:
+    return run_cohort(scheduled_reference(d, interval_k), units_per_arm, rng)
 
 
 def mc_symptom_prompted_ve(s: SymptomModelParams, d: DurationModelParams,
@@ -44,17 +42,40 @@ def mc_symptom_prompted_ve(s: SymptomModelParams, d: DurationModelParams,
 
 
 def mc_fully_observed_naive(d: DurationModelParams, interval_k: float,
-                            units_per_arm: int, rng: np.random.Generator,
-                            shared_phase: bool = True) -> CohortCounts:
-    """Units of four tested every ``interval_k`` days (one phase per unit
-    when shared), analysed from the earliest positive over the window
-    (0, 60); under daily synchronized testing this analysis is the truth."""
+                            units_per_arm: int,
+                            rng: np.random.Generator) -> CohortCounts:
+    """Units of four tested every ``interval_k`` days from one phase per
+    unit, analysed from the earliest positive over the window (0, 60);
+    under daily synchronized testing this analysis is the truth."""
     cfg = ScenarioConfig(
         unit=UnitConfig(duration=d,
                         transmission_mode=TransmissionMode.PER_DAY_HAZARD),
-        policy=TestingPolicy.scheduled(interval_k, shared_phase=shared_phase),
+        policy=TestingPolicy.scheduled(interval_k, shared_phase=True),
         design=StudyDesignFilter(attribution_window=(0.0, 60.0)))
     return run_cohort(cfg, units_per_arm, rng)
+
+
+def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
+                          n: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Empirical probability that scheduled testing detects an infection.
+
+    Realizes the schedule: with a uniform phase, the first test after
+    acquisition falls a Uniform(0, k) offset later, and the infection is
+    detected when that offset lands inside the duration. Returns
+    (fraction, standard error).
+
+    Draws :data:`COHORT_CHUNK` durations and then as many
+    offsets at a time, in order from ``rng``, so it holds one chunk of each
+    at once and streams from any numpy bit generator.
+    """
+    detected = 0
+    for start in range(0, n, COHORT_CHUNK):
+        m = min(COHORT_CHUNK, n - start)
+        durations = rng.uniform(rho_v - c, rho_v + c, m)
+        detected += int(np.count_nonzero(rng.uniform(0.0, interval_k, m)
+                                         < durations))
+    f = detected / n
+    return f, math.sqrt(f * (1.0 - f) / n)
 
 
 @dataclass(frozen=True)
@@ -75,10 +96,10 @@ class CheckResult:
 
 
 def _zcheck(name: str, expected: float, observed: float, se: float,
-            note: str = "", z_limit: float = 3.0) -> CheckResult:
+            note: str = "") -> CheckResult:
     z = (observed - expected) / se if se > 0 else math.inf
     return CheckResult(name=name, expected=expected, observed=observed,
-                       se=se, z=z, passed=abs(z) <= z_limit, note=note)
+                       se=se, z=z, passed=abs(z) <= 3.0, note=note)
 
 
 def check_piecewise_interval(d: DurationModelParams, k: float,
@@ -120,46 +141,43 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
     """All oracle-vs-analytic bridge checks at the given replication size,
     at the package's default parameters.
 
-    Each task is one oracle call drawing in order from its own stream; the
-    tasks run on the worker pool of :func:`harness._parallel_map` and the
-    checks are then built in suite order, so the results, and the first
-    error raised, do not depend on the worker count."""
+    Each task is one named oracle call drawing in order from its own
+    stream, run on the worker pool of :func:`harness._parallel_map`; each
+    check reads its cohort by name, so the results, and the first error
+    raised, do not depend on the worker count."""
     s, d = SymptomModelParams(), DurationModelParams()
     detection_cases = ((10.0, d.rho1), (10.0, d.rho0), (15.0, d.rho1))
-    # (oracle, its arguments before the units, its stream key), in suite
-    # order; the oracles are looked up here, when the suite runs.
-    tasks = [(mc_infrequent_observed, (d, k), (10, i))
-             for i, k in enumerate(PIECEWISE_K_GRID)]
-    tasks += [(mc_infrequent_observed, (d, 25.0), (20,)),
-              (mc_infrequent_observed, (d, 30.0), (26,)),
-              (mc_infrequent_observed, (d, 1.0), (21,)),
-              (mc_infrequent_observed, (d, 10.0), (22,))]
-    tasks += [(mc_detection_fraction, (rho, d.c, k), (23, i))
-              for i, (k, rho) in enumerate(detection_cases)]
-    tasks += [(mc_symptom_prompted_ve, (s, d), (24,)),
-              (mc_fully_observed_naive, (d, 1.0), (25,))]
+    # name: (oracle, its arguments before the units, its stream key), in
+    # submission order; the oracles are looked up here, when the suite runs.
+    tasks = {("piecewise", k): (mc_infrequent_observed, (d, k), (10, i))
+             for i, k in enumerate(PIECEWISE_K_GRID)}
+    tasks |= {("tail", 25.0): (mc_infrequent_observed, (d, 25.0), (20,)),
+              ("tail", 30.0): (mc_infrequent_observed, (d, 30.0), (26,)),
+              "anchor": (mc_infrequent_observed, (d, 1.0), (21,)),
+              "bridge": (mc_infrequent_observed, (d, 10.0), (22,))}
+    tasks |= {("detection", k, rho): (mc_detection_fraction, (rho, d.c, k),
+                                      (23, i))
+              for i, (k, rho) in enumerate(detection_cases)}
+    tasks |= {"symptom": (mc_symptom_prompted_ve, (s, d), (24,)),
+              "fully observed": (mc_fully_observed_naive, (d, 1.0), (25,))}
 
     def run(task):
         oracle, args, key = task
         return oracle(*args, units_per_arm, spawn_rng(seed, *key))
 
-    outcomes = iter(_parallel_map(run, tasks))
-    results: list[CheckResult] = []
+    cohorts = dict(zip(tasks, _parallel_map(run, list(tasks.values()))))
 
-    # Piecewise observed ratio across the testing-interval grid, with the
-    # swapped-branch negative control alongside.
-    for k in PIECEWISE_K_GRID:
-        results.extend(check_piecewise_interval(d, k, next(outcomes)))
+    # Piecewise observed ratio across the testing-interval grid, each with
+    # the swapped-branch negative control alongside: k -> (primary, control).
+    piecewise = {k: check_piecewise_interval(d, k, cohorts["piecewise", k])
+                 for k in PIECEWISE_K_GRID}
+    results = [check for pair in piecewise.values() for check in pair]
 
     # The negative control must be rejected somewhere strictly between the
     # branch points of at least one arm, where assignment is what differs.
-    def interior(k: float) -> bool:
-        return any(rho - d.c < k < rho + d.c for rho in (d.rho0, d.rho1))
-
-    interior_ks = [k for k in PIECEWISE_K_GRID if interior(k)]
-    rejected_at = [k for k in interior_ks
-                   if any(r.name == f"swapped-branch control, k={k:g}"
-                          and r.note == "rejected" for r in results)]
+    interior_ks = [k for k in PIECEWISE_K_GRID
+                   if any(rho - d.c < k < rho + d.c for rho in (d.rho0, d.rho1))]
+    rejected_at = [k for k in interior_ks if piecewise[k][1].note == "rejected"]
     results.append(CheckResult(
         name="swapped-branch control rejected at >=1 interior interval",
         expected=math.nan, observed=float(len(rejected_at)), se=math.nan,
@@ -169,21 +187,21 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Tail independence: the observed ratio stops moving once the interval
     # exceeds the longest duration.
-    mc25, mc30 = (next(outcomes).observed_ratio() for _ in range(2))
-    se_diff = math.hypot(mc25.se, mc30.se)
-    results.append(_zcheck("tail independence, k=25 vs k=30",
-                           mc25.mu_ratio, mc30.mu_ratio, se_diff,
+    mc25, mc30 = (cohorts["tail", k].observed_ratio() for k in (25.0, 30.0))
+    results.append(_zcheck("tail independence, k=30 minus k=25", 0.0,
+                           mc30.mu_ratio - mc25.mu_ratio,
+                           math.hypot(mc25.se, mc30.se),
                            note="two oracle runs compared to each other"))
 
     # Daily testing anchor: at k = 1 the observed ratio is the target.
-    mc1 = next(outcomes).observed_ratio()
+    mc1 = cohorts["anchor"].observed_ratio()
     results.append(_zcheck("daily-testing anchor, k=1",
                            estimands.infrequent_target_mu(d), mc1.mu_ratio,
                            mc1.se))
 
     # Duration-model bridge: unconditional per-contact transmission equals
     # hazard times mean duration, per arm.
-    bridge = next(outcomes)
+    bridge = cohorts["bridge"]
     for label, arm, rho, tau in (("v", True, d.rho1, d.tau1),
                                  ("u", False, d.rho0, d.tau0)):
         truth = bridge.truth[arm]  # one contact per unit: binomial SE
@@ -194,14 +212,14 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
     # Detection bridge: realized schedule detection equals the sampling
     # fraction, per arm and interval.
     for k, rho in detection_cases:
-        frac, se = next(outcomes)
+        frac, se = cohorts["detection", k, rho]
         results.append(_zcheck(
             f"detection fraction, k={k:g}, rho={rho:g}",
             estimands.sampling_fraction(k, rho, d.c), frac, se))
 
     # Symptom-prompted pipeline: the naive estimate converges to 1 - nu
     # while the same cohort's true VE matches the target estimand.
-    cohort = next(outcomes)
+    cohort = cohorts["symptom"]
     sp, truth = cohort.observed_ratio(), cohort.true_ratio()
     results.append(_zcheck("symptom-prompted pipeline VE", 1.0 - s.nu,
                            sp.ve, sp.se))
@@ -211,7 +229,7 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Fully observed regime: synchronized daily testing, naive analysis
     # matches the same cohort's truth.
-    cohort = next(outcomes)
+    cohort = cohorts["fully observed"]
     naive, truth = cohort.observed_ratio(), cohort.true_ratio()
     results.append(_zcheck("fully observed naive vs truth",
                            truth.ve, naive.ve, max(naive.se, 1e-12),

@@ -72,6 +72,20 @@ class TestAnalytic:
         assert f"error: {name} must be" in captured.err
         assert f"got {value}" in captured.err
 
+    @pytest.mark.parametrize("tau_v", ["-1", "0.2"])
+    def test_rate_outside_the_duration_model_rejected(self, tau_v, capsys):
+        # As the duration bundle requires of tau0, the rate times the
+        # longest duration (rho_v + c = 8 + 7 days here) is a probability.
+        assert main(["analytic", "--form", "infrequent-observed-component",
+                     "--tau-v", tau_v]) == 2
+        assert capsys.readouterr() == ("", "error: tau_v must be in "
+                                       f"[0, 1 / (rho_v + c)], got {float(tau_v)}\n")
+
+    def test_zero_rate_transmits_nothing(self, capsys):
+        assert main(["analytic", "--form", "infrequent-observed-component",
+                     "--tau-v", "0"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
 
 class TestSimulate:
     def test_requires_config(self, capsys):

@@ -4,7 +4,7 @@ import os
 from collections import Counter
 import re
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,11 +14,11 @@ from sarbias import (ScenarioConfig, harness, parse_config, run_cohort,
                      run_scenario, run_validation_suite, validation)
 from sarbias.harness import (_KEYS, CSV_COLUMNS, ConfigError, _analytic_columns,
                              _finite, _parallel_map, _workers, apply_axis,
-                             fmt12, rows_to_csv, spawn_rng, sweep_figure,
-                             write_csv)
+                             fmt12, load_config, rows_to_csv, spawn_rng,
+                             sweep_figure, write_csv)
 from sarbias.infer import StudyDesignFilter, WindowAnchor, analyze_unit
 from sarbias.observe import PolicyKind, TestingPolicy
-from sarbias.simcore import UnitConfig
+from sarbias.simcore import TransmissionMode, UnitConfig
 
 GOOD_CONFIG = """
 # symptom-prompted demonstration scenario
@@ -147,6 +147,19 @@ class TestParseConfig:
     def test_policy_fields_the_kind_does_not_read(self, lines, match):
         with pytest.raises(ConfigError, match=match):
             parse_config("scenario.seed = 1\n" + lines)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Editors that save "UTF-8 with BOM" put U+FEFF before the first key.
+        text = "scenario.seed = 42\nscenario.id = caf\u00e9\n"
+        plain, marked, latin = (tmp_path / name for name in
+                                ("plain.cfg", "marked.cfg", "latin1.cfg"))
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_config(str(marked)) == load_config(str(plain)) == (
+            parse_config(text))
+        latin.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+        with pytest.raises(ConfigError, match="is not UTF-8 text"):
+            load_config(str(latin))
 
 
 class TestApplyAxis:
@@ -355,22 +368,43 @@ class TestRunScenario:
         assert row.target_ve == pytest.approx(0.6, abs=1e-12)
 
 
+def _changing(section: str, changes: dict):
+    """A perturbation setting ``changes`` on ``section`` of a scenario (the
+    scenario itself when empty); ``fields`` names the paths it sets."""
+    def change(c):
+        if not section:
+            return replace(c, **changes)
+        return replace(c, **{section: replace(getattr(c, section), **changes)})
+    change.fields = {f"{section}.{name}" if section else name for name in changes}
+    return change
+
+
+def _scenario(**changes):
+    return _changing("", changes)
+
+
 def _policy(**changes):
-    return lambda c: replace(c, policy=replace(c.policy, **changes))
+    return _changing("policy", changes)
 
 
 def _design(**changes):
-    return lambda c: replace(c, design=replace(c.design, **changes))
+    return _changing("design", changes)
 
 
 def _unit(**changes):
-    return lambda c: replace(c, unit=replace(c.unit, **changes))
+    return _changing("unit", changes)
 
 
 REFERENCES = [parse_config(GOOD_CONFIG),
               parse_config(SCHEDULED_CONFIG.replace("= 10", "= 7"))]
+GENERATIVE = [
+    ("community", _unit(community_daily_hazard=0.02)),
+    ("chains", _unit(contact_to_contact=True)),
+    ("vaccinated-contacts", _unit(contacts_vaccinated=True)),
+    ("exact-hazard", _unit(transmission_mode=TransmissionMode.PER_DAY_HAZARD_EXACT)),
+]
 ANALYSIS = [
-    ("index-rule", lambda c: replace(c, index_rule="earliest_positive")),
+    ("index-rule", _scenario(index_rule="earliest_positive")),
     ("window", _design(attribution_window=(-60.0, 14.0))),
     ("coprimary", _design(coprimary_exclusion_days=2.0)),
     ("tested-contacts", _design(require_contact_tested=True)),
@@ -378,6 +412,19 @@ ANALYSIS = [
     ("participation", _policy(participation=0.9)),
     ("horizon", _policy(horizon_days=30.0)),
 ]
+ANALYSIS_BY_KIND = {
+    "symptom": [("delay", _policy(delay_days=1.0))],
+    "scheduled": [("shared-phase", _policy(shared_phase=True)),
+                  ("fixed-phase", _policy(fixed_phase=0.0))],
+}
+# Config fields that no perturbation above covers: those the closed forms
+# read as the row's own parameters, and those they do not read.
+ROW_PARAMETERS = {"unit.symptom", "unit.duration", "policy.kind",
+                  "policy.interval_days"}
+NOT_READ = {"scenario_id", "units_per_arm", "seed", "sweep_axis",
+            "sweep_grid", "unit.unit_size", "unit.p_primary_vaccinated",
+            "unit.incubation_mean_days", "unit.incubation_log_sd",
+            "unit.followup_days"}
 
 
 class TestAnalyticColumns:
@@ -390,26 +437,39 @@ class TestAnalyticColumns:
         target, actual = _analytic_columns(cfg)
         assert not math.isnan(target) and not math.isnan(actual)
 
-    @pytest.mark.parametrize("change", [
-        _unit(community_daily_hazard=0.02), _unit(contact_to_contact=True),
-        _unit(contacts_vaccinated=True),
-    ], ids=["community", "chains", "vaccinated-contacts"])
+    @pytest.mark.parametrize("change", [change for _, change in GENERATIVE],
+                             ids=[name for name, _ in GENERATIVE])
     @pytest.mark.parametrize("cfg", REFERENCES, ids=["symptom", "scheduled"])
     def test_generative_fields_drop_both(self, cfg, change):
         assert all(math.isnan(v) for v in _analytic_columns(change(cfg)))
 
     @pytest.mark.parametrize("cfg, change", [
         pytest.param(cfg, change, id=f"{kind}-{name}")
-        for kind, cfg, extra in (
-            ("symptom", REFERENCES[0], [("delay", _policy(delay_days=1.0))]),
-            ("scheduled", REFERENCES[1],
-             [("shared-phase", _policy(shared_phase=True)),
-              ("fixed-phase", _policy(fixed_phase=0.0))]))
-        for name, change in ANALYSIS + extra])
+        for kind, cfg in zip(ANALYSIS_BY_KIND, REFERENCES)
+        for name, change in ANALYSIS + ANALYSIS_BY_KIND[kind]])
     def test_analysis_fields_drop_observed(self, cfg, change):
         target, actual = _analytic_columns(change(cfg))
         assert target == _analytic_columns(cfg)[0]
         assert math.isnan(actual)
+
+    def test_every_config_field_classified(self):
+        # A field added to a config must be perturbed above or listed as
+        # a row parameter or as not read, so that it cannot leave the
+        # analytic columns filled unnoticed.
+        sections = {"unit": UnitConfig, "policy": TestingPolicy,
+                    "design": StudyDesignFilter}
+        paths = set()
+        for f in fields(ScenarioConfig):
+            section = sections.get(f.name)
+            paths |= ({f"{f.name}.{g.name}" for g in fields(section)}
+                      if section else {f.name})
+        perturbed = set().union(*(
+            change.fields for _, change in GENERATIVE + ANALYSIS
+            + sum(ANALYSIS_BY_KIND.values(), [])))
+        listed = ROW_PARAMETERS | NOT_READ
+        assert not perturbed & listed
+        assert paths - perturbed - listed == set()
+        assert (perturbed | listed) - paths == set()
 
 
 class TestRngStreamPinned:

@@ -9,16 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sarbias import (DurationModelParams, StudyDesignFilter, SymptomModelParams,
-                     TestingPolicy, TransmissionMode, UnitConfig, analyze_unit,
-                     apply_policy, estimate_ve_sar, infrequent_observed_mu,
-                     infrequent_target_mu, mc_detection_fraction,
+from sarbias import (DurationModelParams, ScenarioConfig, StudyDesignFilter,
+                     SymptomModelParams, TestingPolicy, TransmissionMode,
+                     UnitConfig, analyze_unit, apply_policy, estimate_ve_sar,
+                     infrequent_observed_mu, infrequent_target_mu,
                      sampling_fraction, simulate_unit,
                      symptom_prompted_target_mu)
-from sarbias.harness import symptom_reference
+from sarbias.harness import scheduled_reference, symptom_reference
 from sarbias.mc import COHORT_CHUNK, run_cohort
-from sarbias.validation import (mc_fully_observed_naive, mc_infrequent_observed,
-                                mc_symptom_prompted_ve)
+from sarbias.validation import (mc_detection_fraction, mc_fully_observed_naive,
+                                mc_infrequent_observed, mc_symptom_prompted_ve)
 
 D = DurationModelParams()
 S = SymptomModelParams()
@@ -150,9 +150,11 @@ class TestInfrequentOracle:
     def test_exact_transmission_mode_departs_from_linear_form(self):
         # The closed forms linearize 1 - exp(-n tau); with tau0 = 0.01 the
         # exact model sits several standard errors away on the plateau.
-        mc = mc_infrequent_observed(
-            D, 25.0, 1_000_000, np.random.default_rng(23),
-            transmission=TransmissionMode.PER_DAY_HAZARD_EXACT).observed_ratio()
+        cfg = scheduled_reference(D, 25.0)
+        cfg = replace(cfg, unit=replace(
+            cfg.unit, transmission_mode=TransmissionMode.PER_DAY_HAZARD_EXACT))
+        mc = run_cohort(cfg, 1_000_000,
+                        np.random.default_rng(23)).observed_ratio()
         assert abs(mc.mu_ratio - infrequent_observed_mu(25.0, D)) > 3 * mc.se
 
     def test_degenerate_arm_raises(self):
@@ -196,6 +198,10 @@ class TestFullyObservedNaive:
         # Contacts occasionally test positive before their primary, moving
         # transmission units out of the vaccinated arm; the naive VE then
         # overshoots the truth.
-        fo = mc_fully_observed_naive(D, 1.0, 400_000, np.random.default_rng(41),
-                                     shared_phase=False)
+        cfg = ScenarioConfig(
+            unit=UnitConfig(duration=D,
+                            transmission_mode=TransmissionMode.PER_DAY_HAZARD),
+            policy=TestingPolicy.scheduled(1.0),
+            design=StudyDesignFilter(attribution_window=(0.0, 60.0)))
+        fo = run_cohort(cfg, 400_000, np.random.default_rng(41))
         assert fo.observed_ratio().ve - fo.true_ratio().ve > 0

@@ -32,7 +32,8 @@ from pathlib import Path
 TIMEOUT_S = 600
 
 # The two pipeline workloads of bench/run.py, as its config files read:
-# units per arm, the lines both rows share, and the design row's preset.
+# units per arm, the lines both rows share, and the design row's preset
+# (tests/test_compare_trees.py checks them against bench/run.py).
 PIPELINES = {
     "scheduled": (5000, "unit.size = 4\n"
                         "unit.transmission_mode = per_day_hazard\n"
