@@ -19,15 +19,6 @@ from . import estimands, harness, validation
 from .params import DurationModelParams, SymptomModelParams
 
 
-def _observed_component(a, s, d) -> float:
-    """The component at ``--tau-v``, a daily hazard that, as the duration
-    bundle's ``tau0``, must keep ``tau_v * (rho_v + c)`` in [0, 1]."""
-    value = estimands.infrequent_observed_component(a.k, a.rho_v, d.c, a.tau_v)
-    if not 0.0 <= a.tau_v * (a.rho_v + d.c) <= 1.0:
-        raise ValueError(f"tau_v must be in [0, 1 / (rho_v + c)], got {a.tau_v}")
-    return value
-
-
 # Each closed form of `analytic`, from the flags and the parameter bundles
 # built from them.
 _FORMS = {
@@ -38,7 +29,8 @@ _FORMS = {
     "infrequent-target-mu": lambda a, s, d: estimands.infrequent_target_mu(d),
     "sampling-fraction": lambda a, s, d: estimands.sampling_fraction(
         a.k, a.rho_v, d.c),
-    "infrequent-observed-component": _observed_component,
+    "infrequent-observed-component": lambda a, s, d:
+        estimands.infrequent_observed_component(a.k, a.rho_v, d.c, a.tau_v),
     "infrequent-observed-mu":
         lambda a, s, d: estimands.infrequent_observed_mu(a.k, d),
 }

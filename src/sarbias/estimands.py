@@ -19,6 +19,7 @@ thread.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from .params import DurationModelParams, SymptomModelParams
 
@@ -111,16 +112,21 @@ def infrequent_target_mu(d: DurationModelParams) -> float:
 
 
 def _duration_range(k: float, rho_v: float, c: float,
-                    **more: float) -> tuple[float, float]:
+                    tau_v: Optional[float] = None) -> tuple[float, float]:
     """An arm's duration range ``(rho_v - c, rho_v + c)``, once the inputs
-    are checked: each finite, ``k > 0`` and ``rho_v - c > 0``."""
-    for name, value in dict(k=k, rho_v=rho_v, c=c, **more).items():
+    are checked: each finite, ``k > 0``, ``rho_v - c > 0`` and, given a
+    daily hazard ``tau_v``, ``0 <= tau_v`` and ``tau_v * (rho_v + c) <= 1``,
+    as the duration bundle requires of ``tau0``."""
+    rates = {} if tau_v is None else {"tau_v": tau_v}
+    for name, value in dict(k=k, rho_v=rho_v, c=c, **rates).items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if k <= 0.0:
         raise ValueError(f"testing interval k must be > 0, got {k}")
     if rho_v - c <= 0.0:
         raise ValueError(f"rho_v - c must be > 0, got {rho_v - c}")
+    if tau_v is not None and not (0.0 <= tau_v and tau_v * (rho_v + c) <= 1.0):
+        raise ValueError(f"tau_v must be in [0, 1 / (rho_v + c)], got {tau_v}")
     return rho_v - c, rho_v + c
 
 

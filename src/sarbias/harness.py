@@ -52,8 +52,9 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def fmt12(x: float) -> str:
-    """Fixed CSV float formatting: 12 significant digits, '.' separator."""
-    return f"{float(x):.12g}"
+    """Fixed CSV float formatting: 12 significant digits, '.' separator,
+    and zero without a sign."""
+    return f"{float(x) + 0.0:.12g}"  # -0.0 + 0.0 is 0.0
 
 
 def _workers() -> int:

@@ -22,9 +22,9 @@ the truth layer (:func:`true_ve_sar`) and the cohort engine of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -238,22 +238,34 @@ class ArmCounts:
     attributed_at_risk: int
     at_risk_sq: int
 
+    ZERO: ClassVar["ArmCounts"]  # the counts of no units
+
     @classmethod
-    def from_units(cls, attributed, at_risk) -> "ArmCounts":
-        """Sums over units with ``attributed[i]`` of ``at_risk[i]`` contacts;
-        a scalar ``at_risk`` is shared by every unit. A unit without at-risk
-        contacts adds nothing, not even to ``n_units``."""
+    def from_units(cls, attributed, at_risk,
+                   n_units: Optional[int] = None) -> "ArmCounts":
+        """Sums over units with ``attributed[i]`` of ``at_risk[i]`` contacts.
+        A scalar ``at_risk`` is shared by ``n_units`` of the units (all, by
+        default); the others have none, nor attributed transmissions. A
+        unit without at-risk contacts adds nothing, not even to
+        ``n_units``."""
         a = np.asarray(attributed, dtype=np.int64)
-        m = np.broadcast_to(np.asarray(at_risk, dtype=np.int64), a.shape)
-        return cls(n_units=int(np.count_nonzero(m)), at_risk=int(m.sum()),
-                   attributed=int(a.sum()), attributed_sq=int((a * a).sum()),
-                   attributed_at_risk=int((a * m).sum()),
-                   at_risk_sq=int((m * m).sum()))
+        total, total_sq = int(a.sum()), int(np.dot(a, a))
+        if np.ndim(at_risk) == 0:  # the sums over a shared m are products
+            m = int(at_risk)
+            n = (a.size if n_units is None else n_units) if m else 0
+            return cls(n, n * m, total, total_sq, total * m, n * m * m)
+        m = np.asarray(at_risk, dtype=np.int64)
+        return cls(int(np.count_nonzero(m)), int(m.sum()), total, total_sq,
+                   int(np.dot(a, m)), int(np.dot(m, m)))
 
     def __add__(self, other: "ArmCounts") -> "ArmCounts":
         """Counts of the two sets of units pooled."""
-        return ArmCounts(*(getattr(self, f.name) + getattr(other, f.name)
-                           for f in fields(self)))
+        return ArmCounts(self.n_units + other.n_units,
+                         self.at_risk + other.at_risk,
+                         self.attributed + other.attributed,
+                         self.attributed_sq + other.attributed_sq,
+                         self.attributed_at_risk + other.attributed_at_risk,
+                         self.at_risk_sq + other.at_risk_sq)
 
     @property
     def sar(self) -> float:
@@ -268,6 +280,9 @@ class ArmCounts:
         return ((self.attributed_sq * n_at_risk ** 2
                  - 2 * n_attributed * self.attributed_at_risk * n_at_risk
                  + n_attributed ** 2 * self.at_risk_sq) / n_at_risk ** 4)
+
+
+ArmCounts.ZERO = ArmCounts(0, 0, 0, 0, 0, 0)
 
 
 class VeRatio(NamedTuple):

@@ -62,7 +62,8 @@ class CohortTruth:
 
     vaccinated: np.ndarray           # (unit_size,)
     acquisition: np.ndarray          # inf where never infected
-    duration: np.ndarray             # test-positivity days, drawn for all
+    positive_until: np.ndarray       # acquisition + test-positivity days,
+                                     # which are drawn for all
     onset: Optional[np.ndarray]      # inf where asymptomatic; None: not drawn
     primary_sourced: np.ndarray      # (unit_size - 1, n), the contacts
 
@@ -81,10 +82,11 @@ class CohortAnalysis:
     """Per-unit outcome; the counts are 0 for excluded units."""
 
     attributed: np.ndarray
-    at_risk: np.ndarray
+    at_risk: Union[np.ndarray, int]  # or one count of every analysed unit
     index: Union[np.ndarray, int]    # row of the index, 0 for the true primary
     no_index: np.ndarray
     coprimary: np.ndarray
+    analysed: np.ndarray             # neither without index nor co-primary
 
 
 def _rows(values) -> np.ndarray:
@@ -92,14 +94,56 @@ def _rows(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _inf_unless(mask: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``t``, set in place to inf where ``mask`` is False."""
-    np.putmask(t, ~mask, np.inf)
-    return t
+class _Scratch:
+    """Arrays by name and dtype, of any shape: each name's memory is made
+    on first use, grown when too small and handed out again on every later
+    use. :func:`run_cohort` gives one to all of a run's chunks, so each
+    chunk writes into the memory of the chunk before: with fresh arrays,
+    malloc hands freed pages back to the OS and the next chunk faults them
+    in again. Two arrays of one name are never needed at once, and a
+    chunk's arrays are dead once it is counted."""
+
+    def __init__(self) -> None:
+        self._memory: dict = {}  # (name, dtype): flat array
+        self._arrays: dict = {}  # (name, shape, dtype): a view of it
+
+    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        array = self._arrays.get((name, shape, dtype))
+        if array is None:
+            size = math.prod(shape)
+            memory = self._memory.get((name, dtype))
+            if memory is None or memory.size < size:
+                memory = self._memory[name, dtype] = np.empty(size, dtype)
+                self._arrays.clear()  # views of the memory replaced
+            array = self._arrays[name, shape, dtype] = memory[:size].reshape(shape)
+        return array
+
+
+def _inf_unless(mask: np.ndarray, t: np.ndarray,
+                penalty: np.ndarray) -> np.ndarray:
+    """``t``, set in place to inf where ``mask`` is False, using
+    ``penalty`` (``t``'s shape) as scratch."""
+    # inf * (not mask) is NaN where mask is True and inf elsewhere, and
+    # fmax ignores a NaN: a select without the per-element branch of
+    # putmask, which mispredicts on random masks.
+    with np.errstate(invalid="ignore"):
+        np.multiply(~mask, np.inf, out=penalty)
+    return np.fmax(t, penalty, out=t)
+
+
+def _per_unit(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """How many rows of a ``(rows, n)`` bool array are True, per unit, into
+    the ``(n,)`` integer array ``out``."""
+    # Summed as bytes in the narrowest type that holds the row count:
+    # numpy's bool sum widens every element first, at several times the cost.
+    np.copyto(out, mask.view(np.uint8).sum(
+        axis=0, dtype=np.min_scalar_type(len(mask))))
+    return out
 
 
 def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
-                    rng: np.random.Generator, onsets: bool) -> CohortTruth:
+                    rng: np.random.Generator, onsets: bool,
+                    scratch: Optional[_Scratch] = None) -> CohortTruth:
     """Draw the truth of ``n`` units whose primary has the given status.
 
     Draws, in order and only what the config reads: symptom coins
@@ -111,49 +155,64 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
     primary's and the community's arrivals, relaxed over contact pairs
     ``unit_size - 2`` more times.
     """
+    new = scratch or _Scratch()
     size, mode = unit.unit_size, unit.transmission_mode
     s, d = unit.symptom, unit.duration
     vax = np.full(size, unit.contacts_vaccinated)
     vax[0] = vaccinated
+    duration = new("duration", (size, n))  # first holds the symptom coins
     symptomatic = None
     if mode is TransmissionMode.PER_UNIT_BERNOULLI or onsets:
-        symptomatic = rng.random((size, n)) < _rows(
-            [s.symptomatic_probability(v) for v in vax])
-    duration = rng.random((size, n))
+        symptomatic = np.less(rng.random(out=duration),
+                              _rows([s.symptomatic_probability(v) for v in vax]),
+                              out=new("symptomatic", (size, n), bool))
+    rng.random(out=duration)
     duration *= 2.0 * d.c
     duration += _rows([d.mean_duration(v) - d.c for v in vax])
 
     # delay[i, j - 1]: from source i's infection to contact j's; inf where
-    # the pair does not transmit.
+    # the pair does not transmit. Infected by the primary alone, contacts
+    # take the primary's delays as their infection times, in place.
     n_sources = size if unit.contact_to_contact else 1
-    delay = rng.random((n_sources, size - 1, n))
+    others = unit.community_daily_hazard > 0.0 or unit.contact_to_contact
+    acquisition = new("acquisition", (size, n))
+    delay = rng.random(out=new("delay", (n_sources, size - 1, n)) if others
+                       else acquisition[None, 1:])
     source_duration = duration[:n_sources, None, :]
+    transmits = new("transmits", delay.shape, bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero p or hazard
         if mode is TransmissionMode.PER_UNIT_BERNOULLI:
-            p = s.tau * np.where(symptomatic[:n_sources], 1.0, s.delta)
-            p = (p * _rows([s.nu if v else 1.0 for v in vax[:n_sources]]))[:, None]
-            transmits = delay < p
-            delay *= source_duration / p  # U(0, duration) given transmission
+            # tau * (1 or delta) * nu per source, selected by adding a
+            # product with 0, which is exact, instead of branching.
+            nu = _rows([s.nu if v else 1.0 for v in vax[:n_sources]])
+            sick = symptomatic[:n_sources]
+            p = np.multiply(sick, s.tau * nu, out=new("p", sick.shape))
+            p += np.multiply(~sick, s.tau * s.delta * nu,
+                             out=new("work", sick.shape))
+            p = p[:, None]
+            np.less(delay, p, out=transmits)
+            delay *= np.divide(source_duration, p, out=p)  # U(0, duration)
         else:
             # The pair's clock rings at u / hazard (linear form: inside the
             # duration with probability duration * hazard, which the
             # duration model keeps <= 1, then uniform over it) or at the
             # hazard's first event (exact form).
             if mode is TransmissionMode.PER_DAY_HAZARD_EXACT:
-                delay = -np.log1p(-delay)
+                np.negative(np.log1p(np.negative(delay, out=delay), out=delay),
+                            out=delay)
             delay /= _rows([d.daily_hazard(v) for v in vax[:n_sources]])[:, :, None]
-            transmits = delay < source_duration
-    delay = _inf_unless(transmits, delay)
-
-    acquisition = np.empty((size, n))
+            np.less(delay, source_duration, out=transmits)
+    penalty = new("work", (size, n))[1:]
+    for i in range(n_sources):
+        _inf_unless(transmits[i], delay[i], penalty)
     acquisition[0] = 0.0
-    acquisition[1:] = delay[0]
     primary_sourced = transmits[0]
-    if unit.community_daily_hazard > 0.0 or unit.contact_to_contact:
+    if others:
+        acquisition[1:] = delay[0]
         if unit.community_daily_hazard > 0.0:
             community = rng.exponential(1.0 / unit.community_daily_hazard,
                                         (size - 1, n))
-            community[community >= unit.followup_days] = np.inf
+            _inf_unless(community < unit.followup_days, community, penalty)
             np.minimum(acquisition[1:], community, out=acquisition[1:])
         if unit.contact_to_contact:
             for i in range(1, size):
@@ -166,96 +225,134 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
 
     onset = None
     if onsets:
-        sick = symptomatic & (acquisition < np.inf)
+        sick = np.less(acquisition, np.inf, out=new("sick", (size, n), bool))
+        sick &= symptomatic
         sd = unit.incubation_log_sd
         mu = math.log(unit.incubation_mean_days) - 0.5 * sd * sd
-        onset = np.full((size, n), np.inf)
-        np.place(onset, sick, rng.lognormal(mu, sd, int(np.count_nonzero(sick))))
+        onset = new("onset", (size, n))
+        onset.fill(np.inf)
+        at = np.flatnonzero(sick)
+        onset.ravel()[at] = rng.lognormal(mu, sd, at.size)
         onset += acquisition  # inf stays inf where no onset was placed
-    return CohortTruth(vax, acquisition, duration, onset, primary_sourced)
+    positive_until = np.add(acquisition, duration, out=duration)
+    return CohortTruth(vax, acquisition, positive_until, onset, primary_sourced)
 
 
 def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
-                   design: StudyDesignFilter,
-                   rng: np.random.Generator) -> CohortObserved:
+                   design: StudyDesignFilter, rng: np.random.Generator,
+                   scratch: Optional[_Scratch] = None) -> CohortObserved:
     """Apply the testing policy, as ``apply_policy`` does. Draws
     participation (below 1 only), then random schedule phases (one per
     unit when shared, else one per person); keeps tested flags and
     reported onsets only where ``design`` reads them."""
+    new = scratch or _Scratch()
     acquisition = truth.acquisition
     shape = acquisition.shape
-    tested = np.zeros(shape, dtype=bool) if design.require_contact_tested else None
+    tested = None
+    if design.require_contact_tested:
+        tested = new("tested", shape, bool)
+        tested.fill(False)
     reported_onset = None
     if policy.kind is PolicyKind.NO_TESTING:
         return CohortObserved(np.full(shape, np.inf), tested, reported_onset)
     participates = None  # everyone
     if policy.participation < 1.0:
-        participates = rng.random(shape) < policy.participation
-    positive_until = acquisition + truth.duration
+        participates = np.less(rng.random(out=new("uniform", shape)),
+                               policy.participation,
+                               out=new("participates", shape, bool))
+    positive_until = truth.positive_until
+    penalty, hit = new("work", shape), new("hit", shape, bool)
 
     if policy.kind in SYMPTOM_KINDS:
-        t = truth.onset + policy.delay_days
-        symptom_test = t <= policy.horizon_days
+        t = np.add(truth.onset, policy.delay_days, out=new("symptom_time", shape))
+        symptom_test = np.less_equal(t, policy.horizon_days,
+                                     out=new("symptom_test", shape, bool))
         if participates is not None:
             symptom_test &= participates
-        first_positive = _inf_unless(symptom_test & (t < positive_until), t)
+        np.less(t, positive_until, out=hit)
+        first_positive = _inf_unless(np.logical_and(symptom_test, hit, out=hit),
+                                     t, penalty)
         if tested is not None:
             tested |= symptom_test
         if design.anchor is WindowAnchor.ONSET_TIME:
-            reported_onset = np.where(symptom_test, truth.onset, np.inf)
+            reported_onset = new("reported_onset", shape)
+            np.copyto(reported_onset, truth.onset)
+            _inf_unless(symptom_test, reported_onset, penalty)
 
     if policy.kind in SCHEDULED_KINDS:
         k = policy.interval_days
         phase = policy.fixed_phase
         if phase is None:
-            phase = rng.random(shape[1] if policy.shared_phase else shape)
+            phase = rng.random(out=new("phase", shape[1:] if policy.shared_phase
+                                       else shape))
             phase *= k
+            # In the select's scratch when per person: dead before the select.
+            last_slot = np.subtract(policy.horizon_days, phase,
+                                    out=new("work", phase.shape))
+        else:
+            last_slot = policy.horizon_days - phase
         # First slot phase + j * k at or after acquisition (j >= 0, as the
         # phase lies in [0, k)); slot j exists while j <= (horizon - phase) / k.
-        slot = acquisition - phase
+        slot = np.subtract(acquisition, phase, out=new("slot", shape))
         slot /= k
         np.ceil(slot, out=slot)
-        last_slot = policy.horizon_days - phase
         last_slot /= k
-        positive = slot <= last_slot
-        slot *= k
-        slot += phase
-        positive &= slot < positive_until
-        if participates is not None:
-            positive &= participates
-        scheduled = _inf_unless(positive, slot)
-        first_positive = (scheduled if policy.kind is PolicyKind.SCHEDULED
-                          else np.minimum(first_positive, scheduled))
+        positive = np.less_equal(slot, last_slot, out=new("positive", shape, bool))
         if tested is not None:
             has_slots = last_slot >= 0.0
             tested |= has_slots if participates is None else has_slots & participates
+        slot *= k
+        slot += phase
+        positive &= np.less(slot, positive_until, out=hit)
+        if participates is not None:
+            positive &= participates
+        scheduled = _inf_unless(positive, slot, penalty)
+        first_positive = (scheduled if policy.kind is PolicyKind.SCHEDULED
+                          else np.minimum(first_positive, scheduled,
+                                          out=first_positive))
     return CohortObserved(first_positive, tested, reported_onset)
 
 
 def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
-                   index_rule: str) -> CohortAnalysis:
+                   index_rule: str,
+                   scratch: Optional[_Scratch] = None) -> CohortAnalysis:
     """Index, exclusions and per-unit counts, as ``analyze_unit`` does
     (``true_primary`` anchors on row 0, as its ``index_id`` override)."""
+    new = scratch or _Scratch()
     first_positive = obs.first_positive
     size, n = first_positive.shape
     if index_rule == "true_primary":
         index, first = 0, first_positive[0]
     else:
-        first = first_positive.min(axis=0)
-        index = np.zeros(n, dtype=np.intp)
+        first = first_positive.min(axis=0, out=new("first", (n,)))
+        # Row numbers in the narrowest type: their arithmetic below wraps
+        # around exactly, and the result is below the row count.
+        rows = np.min_scalar_type(size)
+        index = new("index", (n,), rows)
+        index.fill(0)
+        step, hit = new("step", (n,), rows), new("hit", (n,), bool)
         for i in range(size - 1, -1, -1):  # ties go to the lowest id
-            index[first_positive[i] == first] = i
-    no_index = first == np.inf
+            # index = i where row i is first, as arithmetic: no branch.
+            np.subtract(index, i, out=step)
+            step *= np.equal(first_positive[i], first, out=hit)
+            index -= step
+    no_index = np.equal(first, np.inf, out=new("no_index", (n,), bool))
 
-    coprimary = np.zeros(n, dtype=bool)
+    coprimary = new("coprimary", (n,), bool)
+    coprimary.fill(False)
+    analysed = np.logical_not(no_index, out=new("analysed", (n,), bool))
     if design.coprimary_exclusion_days is not None:
-        # Two positive dates within the limit, as sorted dates' gaps show.
-        dates = np.floor(first_positive)
+        # Two positive dates within the limit, compared pair by pair.
+        dates = np.floor(first_positive, out=new("work", (size, n)))
+        gap, near = new("gap", (n,)), new("hit", (n,), bool)
         with np.errstate(invalid="ignore"):  # inf - inf between two misses
             for i in range(1, size):
-                gaps = np.abs(dates[:i] - dates[i])
-                coprimary |= (gaps <= design.coprimary_exclusion_days).any(axis=0)
-        coprimary &= ~no_index
+                for j in range(i):
+                    np.abs(np.subtract(dates[j], dates[i], out=gap), out=gap)
+                    coprimary |= np.less_equal(
+                        gap, design.coprimary_exclusion_days, out=near)
+        coprimary &= analysed
+        analysed &= ~coprimary
 
     events, anchor = first_positive, first
     if design.anchor is WindowAnchor.ONSET_TIME and obs.reported_onset is not None:
@@ -264,34 +361,57 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
         anchor = np.take_along_axis(events, np.broadcast_to(index, (1, n)), 0)[0]
     # Everyone but the index is a contact; the index's own lag is 0.
     lo, hi = design.attribution_window
-    own = int(lo <= 0.0 <= hi)
+    own = lo <= 0.0 <= hi
     if index_rule == "true_primary":
-        events, own = events[1:], 0
+        events, own = events[1:], False
     with np.errstate(invalid="ignore"):  # inf - inf in units without index
-        lag = events - anchor
-    in_window = ((lag >= lo) & (lag <= hi)).sum(axis=0) - own
-    at_risk = (obs.tested.sum(axis=0) - 1  # the index has a positive test
-               if design.require_contact_tested else size - 1)
-    analysed = ~(no_index | coprimary)
-    return CohortAnalysis(in_window * analysed, at_risk * analysed,
-                          index, no_index, coprimary)
+        lag = np.subtract(events, anchor,
+                          out=new("work", (size, n))[:len(events)])
+    in_window = np.greater_equal(lag, lo, out=new("in_window", lag.shape, bool))
+    in_window &= np.less_equal(lag, hi, out=new("hit", lag.shape, bool))
+    attributed = _per_unit(in_window, new("attributed", (n,), np.int64))
+    attributed *= analysed
+    if own:
+        attributed -= analysed
+    at_risk = size - 1
+    if design.require_contact_tested:
+        at_risk = _per_unit(obs.tested, new("at_risk", (n,), np.int64))
+        at_risk *= analysed
+        at_risk -= analysed  # the index has a positive test
+    return CohortAnalysis(attributed, at_risk, index, no_index, coprimary,
+                          analysed)
 
 
-def _count(truth: CohortTruth, analysis: CohortAnalysis,
-           vaccinated: bool) -> CohortCounts:
-    attributed, at_risk = analysis.attributed, analysis.at_risk
-    index_vaccinated = truth.vaccinated[analysis.index]  # per unit, or one
-    observed = {}
-    for arm in (True, False):
-        mine = index_vaccinated == arm
-        if np.ndim(mine):
-            attributed_arm, at_risk_arm = attributed[mine], at_risk[mine]
-        else:
-            attributed_arm, at_risk_arm = (attributed, at_risk) if mine else ([], 0)
-        observed[arm] = ArmCounts.from_units(attributed_arm, at_risk_arm)
-    truth_arms = {not vaccinated: ArmCounts.from_units([], 0),
-                  vaccinated: ArmCounts.from_units(
-                      truth.primary_sourced.sum(axis=0), len(truth.vaccinated) - 1)}
+def _count(truth: CohortTruth, analysis: CohortAnalysis, vaccinated: bool,
+           scratch: Optional[_Scratch] = None) -> CohortCounts:
+    new = scratch or _Scratch()
+    attributed, at_risk, analysed = (analysis.attributed, analysis.at_risk,
+                                     analysis.analysed)
+    n = len(attributed)
+    primary, contacts = (bool(v) for v in truth.vaccinated[:2])  # contacts: one status
+    if np.ndim(analysis.index) == 0 or primary == contacts:  # one arm: the primary's
+        observed = {primary: ArmCounts.from_units(
+                        attributed, at_risk, int(np.count_nonzero(analysed))),
+                    not primary: ArmCounts.ZERO}
+    else:
+        # Each arm masks out the other's units, whose at-risk contacts then
+        # count 0: as the counts' contract says, they add nothing.
+        units = np.equal(analysis.index, 0, out=new("units", (n,), bool))
+        units &= analysed  # indexed by the primary, then by a contact
+        observed = {}
+        for arm in (primary, contacts):
+            observed[arm] = ArmCounts.from_units(
+                np.multiply(attributed, units,
+                            out=new("arm_attributed", (n,), np.int64)),
+                at_risk if np.ndim(at_risk) == 0 else np.multiply(
+                    at_risk, units, out=new("arm_at_risk", (n,), np.int64)),
+                int(np.count_nonzero(units)))
+            np.logical_xor(units, analysed, out=units)
+    primary_sourced = _per_unit(truth.primary_sourced,
+                                new("primary_sourced", (n,), np.int64))
+    truth_arms = {not vaccinated: ArmCounts.ZERO,
+                  vaccinated: ArmCounts.from_units(primary_sourced,
+                                                   len(truth.vaccinated) - 1)}
     excluded = Counter(
         {("no_index", vaccinated): int(np.count_nonzero(analysis.no_index)),
          ("coprimary", vaccinated): int(np.count_nonzero(analysis.coprimary))})
@@ -310,20 +430,14 @@ def run_cohort(cfg: "ScenarioConfig", units_per_arm: int,
         raise ValueError(f"the oracle does not model sweep_axis = "
                          f"{cfg.sweep_axis!r}: it answers for the base config")
     onsets = cfg.policy.kind in SYMPTOM_KINDS
+    scratch = _Scratch()
     total = None
     for vaccinated in (True, False):
         for start in range(0, units_per_arm, COHORT_CHUNK):
             n = min(COHORT_CHUNK, units_per_arm - start)
-            truth = simulate_cohort(cfg.unit, vaccinated, n, rng, onsets)
-            obs = observe_cohort(truth, cfg.policy, cfg.design, rng)
-            counts = _count(truth, analyze_cohort(obs, cfg.design, cfg.index_rule),
-                            vaccinated)
+            truth = simulate_cohort(cfg.unit, vaccinated, n, rng, onsets, scratch)
+            obs = observe_cohort(truth, cfg.policy, cfg.design, rng, scratch)
+            analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
+            counts = _count(truth, analysis, vaccinated, scratch)
             total = counts if total is None else total + counts
-            # The chunk's truth goes now; its observed arrays, the last it
-            # made, stay until the next chunk's replace them. Were every
-            # array of a chunk freed at once, malloc would hand the heap top
-            # back to the OS and the next chunk would fault its pages in
-            # again (one-worker `validate`: 5x the page faults, 1.4x the time).
-            del truth
     return total
-

@@ -86,6 +86,15 @@ class TestAnalytic:
                      "--tau-v", "0"]) == 0
         assert capsys.readouterr().out == "0\n"
 
+    @pytest.mark.parametrize("form, flag", [
+        ("infrequent-observed-component", "--tau-v"),
+        ("infrequent-observed-mu", "--nu-daily"),
+        ("infrequent-target-mu", "--nu-daily"),
+    ])
+    def test_negative_zero_rate_prints_zero(self, form, flag, capsys):
+        assert main(["analytic", "--form", form, flag, "-0"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
 
 class TestSimulate:
     def test_requires_config(self, capsys):

@@ -1,7 +1,8 @@
 """The cohort engine against the object pipeline, unit by unit, and the
 invariants both must keep over random configs."""
 
-from dataclasses import replace
+import hashlib
+from dataclasses import astuple, replace
 
 import numpy as np
 from hypothesis import given
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from sarbias import (DurationModelParams, PolicyKind, ScenarioConfig,
                      StudyDesignFilter, SymptomModelParams, TestingPolicy,
                      TransmissionMode, UnitConfig, WindowAnchor, analyze_unit,
-                     apply_policy, simulate_unit)
+                     apply_policy, run_cohort, simulate_unit)
+from sarbias.harness import (scheduled_reference, spawn_rng,
+                             symptom_reference)
 from sarbias.infer import ArmCounts
-from sarbias.mc import (CohortTruth, _count, analyze_cohort, observe_cohort,
-                        simulate_cohort)
+from sarbias.mc import (COHORT_CHUNK, CohortTruth, _count, analyze_cohort,
+                        observe_cohort, simulate_cohort)
 from sarbias.observe import SCHEDULED_KINDS, SYMPTOM_KINDS
 WINDOWS = [(-60.0, 60.0), (0.0, 60.0), (1.0, 7.0), (2.0, 14.0), (0.0, 4.0)]
 
@@ -68,7 +71,7 @@ def cohort_truth(truths):
                 onset[inf.person_id, u] = inf.symptom_onset_time
     vaccinated = np.array([p.vaccinated for p in truths[0].persons])
     return CohortTruth(vaccinated=vaccinated, acquisition=acquisition,
-                       duration=duration, onset=onset,
+                       positive_until=acquisition + duration, onset=onset,
                        primary_sourced=np.zeros((size - 1, n), dtype=bool))
 
 
@@ -77,9 +80,10 @@ def engine_records(analysis, first_positive):
     unit; the index is None without one."""
     n = first_positive.shape[1]
     index = np.broadcast_to(analysis.index, (n,))
+    at_risk = np.broadcast_to(analysis.at_risk, (n,)) * analysis.analysed
     reasons = np.where(analysis.no_index, "no_index",
                        np.where(analysis.coprimary, "coprimary", ""))
-    return [(int(analysis.attributed[u]), int(analysis.at_risk[u]),
+    return [(int(analysis.attributed[u]), int(at_risk[u]),
              reasons[u] or None,
              None if analysis.no_index[u] else int(index[u]),
              bool(np.isfinite(first_positive[index[u], u])))
@@ -168,8 +172,11 @@ class TestInvariants:
         for reason in ("no_index", "coprimary"):
             assert counts.excluded[(reason, vaccinated)] == sum(
                 r[2] == reason for r in records)
-        assert sum(arm.n_units for arm in counts.observed.values()) == sum(
-            r[2] is None and r[1] > 0 for r in records)
+        for arm in (True, False):  # by the index's vaccination status
+            mine = [r for r in records
+                    if r[2] is None and truth.vaccinated[r[3]] == arm]
+            assert counts.observed[arm] == ArmCounts.from_units(
+                [r[0] for r in mine], [r[1] for r in mine])
         assert counts.truth[vaccinated].n_units == 200
 
 
@@ -190,3 +197,63 @@ def test_shared_at_risk_counts_as_per_unit(attributed, m):
     a = [min(x, m) for x in attributed]
     assert ArmCounts.from_units(a, m) == ArmCounts.from_units(a, [m] * len(a))
 
+
+def _pinned_configs():
+    """The engine's reference configs, both benchmark pipeline designs, and
+    one config for each optional path of the engine."""
+    d = DurationModelParams()
+    hazard = TransmissionMode.PER_DAY_HAZARD
+    houses_of_4 = UnitConfig(unit_size=4, transmission_mode=hazard)
+    every_7 = TestingPolicy.scheduled(7.0)
+    return [
+        symptom_reference(SymptomModelParams()),
+        scheduled_reference(d, 7.0),
+        ScenarioConfig(  # validate's fully observed cohort
+            unit=UnitConfig(duration=d, transmission_mode=hazard),
+            policy=TestingPolicy.scheduled(1.0, shared_phase=True),
+            design=StudyDesignFilter(attribution_window=(0.0, 60.0))),
+        ScenarioConfig(unit=houses_of_4, policy=every_7,
+                       design=StudyDesignFilter.harris()),
+        ScenarioConfig(unit=UnitConfig(unit_size=8),
+                       policy=TestingPolicy.symptom_prompted(),
+                       design=StudyDesignFilter.lyngse()),
+        ScenarioConfig(unit=houses_of_4,
+                       policy=TestingPolicy.scheduled(7.0, participation=0.7)),
+        ScenarioConfig(unit=houses_of_4,
+                       policy=TestingPolicy.scheduled(3.5, shared_phase=True),
+                       design=StudyDesignFilter.harris()),
+        ScenarioConfig(unit=houses_of_4,
+                       policy=TestingPolicy.scheduled(7.0, fixed_phase=2.5),
+                       design=StudyDesignFilter.lyngse()),
+        ScenarioConfig(policy=TestingPolicy.symptom_plus_scheduled(
+            10.0, delay_days=1.5), design=StudyDesignFilter.harris()),
+        ScenarioConfig(design=StudyDesignFilter(
+            attribution_window=(1.0, 10.0), require_contact_tested=True,
+            anchor=WindowAnchor.ONSET_TIME)),
+        ScenarioConfig(unit=replace(houses_of_4, community_daily_hazard=0.01,
+                                    contact_to_contact=True),
+                       policy=every_7, design=StudyDesignFilter.gier()),
+        ScenarioConfig(unit=replace(
+            houses_of_4, transmission_mode=TransmissionMode.PER_DAY_HAZARD_EXACT),
+            policy=every_7),
+    ]
+
+
+class TestCohortStreamPinned:
+    """Every count of ``run_cohort`` over three chunks per arm, the last
+    partial, pinned by digest: an engine edit that changes a draw, its
+    order or any tally changes it."""
+
+    DIGEST = "73c10efb4d4cf4f1981d128fc447d11b9bcb25c8f6954f1be97c9291cb0a9d6f"
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for i, cfg in enumerate(_pinned_configs()):
+            counts = run_cohort(cfg, 2 * COHORT_CHUNK + 123, spawn_rng(2024, i))
+            for arm in (True, False):
+                record = (astuple(counts.observed[arm]),
+                          astuple(counts.truth[arm]),
+                          [counts.excluded[(reason, arm)]
+                           for reason in ("no_index", "coprimary")])
+                digest.update(repr((i, arm, record)).encode())
+        assert digest.hexdigest() == self.DIGEST

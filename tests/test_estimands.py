@@ -233,8 +233,18 @@ class TestObservedComponent:
     def test_interior_value(self):
         # k=10, rho=8, c=7: numerator {3*10*225 - 1000 - 2} = 5748,
         # 12ck*S_k = 840 * 199/280 = 597, so E[N | sampled] = 5748/597.
-        got = infrequent_observed_component(10.0, 8.0, 7.0, 1.0)
-        assert got == pytest.approx(5748 / 597, abs=1e-12)
+        got = infrequent_observed_component(10.0, 8.0, 7.0, 0.04)
+        assert got == pytest.approx(0.04 * 5748 / 597, abs=0.04 * 1e-12)
+
+    @pytest.mark.parametrize("component", [
+        infrequent_observed_component, infrequent_observed_component_swapped])
+    @pytest.mark.parametrize("tau_v", [-1.0, -1e-300, 1.0 / 15.0 + 1e-9, 1.0])
+    def test_rate_outside_the_duration_model_rejected(self, component, tau_v):
+        # As the duration bundle requires of tau0, the rate times the
+        # longest duration (rho_v + c = 8 + 7 days here) is a probability.
+        with pytest.raises(ValueError, match=r"tau_v must be in \[0, 1 / "
+                                             r"\(rho_v \+ c\)\], got "):
+            component(10.0, 8.0, 7.0, tau_v)
 
 
 class TestObservedMu:
