@@ -249,14 +249,15 @@ class ArmCounts:
         unit without at-risk contacts adds nothing, not even to
         ``n_units``."""
         a = np.asarray(attributed, dtype=np.int64)
-        total, total_sq = int(a.sum()), int(np.dot(a, a))
         if np.ndim(at_risk) == 0:  # the sums over a shared m are products
-            m = int(at_risk)
+            m, total = int(at_risk), int(a.sum())
             n = (a.size if n_units is None else n_units) if m else 0
-            return cls(n, n * m, total, total_sq, total * m, n * m * m)
-        m = np.asarray(at_risk, dtype=np.int64)
-        return cls(int(np.count_nonzero(m)), int(m.sum()), total, total_sq,
-                   int(np.dot(a, m)), int(np.dot(m, m)))
+            return cls(n, n * m, total, int(np.dot(a, a)), total * m, n * m * m)
+        m = np.broadcast_to(np.asarray(at_risk, dtype=np.int64), a.shape)
+        return cls(n_units=int(np.count_nonzero(m)), at_risk=int(m.sum()),
+                   attributed=int(a.sum()), attributed_sq=int((a * a).sum()),
+                   attributed_at_risk=int((a * m).sum()),
+                   at_risk_sq=int((m * m).sum()))
 
     def __add__(self, other: "ArmCounts") -> "ArmCounts":
         """Counts of the two sets of units pooled."""

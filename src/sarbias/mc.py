@@ -79,10 +79,12 @@ class CohortObserved:
 
 @dataclass
 class CohortAnalysis:
-    """Per-unit outcome; the counts are 0 for excluded units."""
+    """Per-unit outcome. ``attributed`` is 0 for excluded units, and so
+    is an array ``at_risk``; a scalar ``at_risk`` holds only for the units
+    marked in ``analysed``."""
 
     attributed: np.ndarray
-    at_risk: Union[np.ndarray, int]  # or one count of every analysed unit
+    at_risk: Union[np.ndarray, int]  # or the count of every analysed unit
     index: Union[np.ndarray, int]    # row of the index, 0 for the true primary
     no_index: np.ndarray
     coprimary: np.ndarray
@@ -100,8 +102,8 @@ class _Scratch:
     use. :func:`run_cohort` gives one to all of a run's chunks, so each
     chunk writes into the memory of the chunk before: with fresh arrays,
     malloc hands freed pages back to the OS and the next chunk faults them
-    in again. Two arrays of one name are never needed at once, and a
-    chunk's arrays are dead once it is counted."""
+    in again. Each name serves one role, and a chunk's arrays are dead once
+    it is counted."""
 
     def __init__(self) -> None:
         self._memory: dict = {}  # (name, dtype): flat array
@@ -143,7 +145,7 @@ def _per_unit(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
                     rng: np.random.Generator, onsets: bool,
-                    scratch: Optional[_Scratch] = None) -> CohortTruth:
+                    new: _Scratch) -> CohortTruth:
     """Draw the truth of ``n`` units whose primary has the given status.
 
     Draws, in order and only what the config reads: symptom coins
@@ -153,9 +155,8 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
     times (hazard above 0), and incubation periods of the infected
     symptomatic (``onsets``). Infection times are first-passage times: the
     primary's and the community's arrivals, relaxed over contact pairs
-    ``unit_size - 2`` more times.
+    ``unit_size - 2`` more times. Arrays come from ``new``.
     """
-    new = scratch or _Scratch()
     size, mode = unit.unit_size, unit.transmission_mode
     s, d = unit.symptom, unit.duration
     vax = np.full(size, unit.contacts_vaccinated)
@@ -188,7 +189,7 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
             sick = symptomatic[:n_sources]
             p = np.multiply(sick, s.tau * nu, out=new("p", sick.shape))
             p += np.multiply(~sick, s.tau * s.delta * nu,
-                             out=new("work", sick.shape))
+                             out=new("p_healthy", sick.shape))
             p = p[:, None]
             np.less(delay, p, out=transmits)
             delay *= np.divide(source_duration, p, out=p)  # U(0, duration)
@@ -202,7 +203,7 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
                             out=delay)
             delay /= _rows([d.daily_hazard(v) for v in vax[:n_sources]])[:, :, None]
             np.less(delay, source_duration, out=transmits)
-    penalty = new("work", (size, n))[1:]
+    penalty = new("penalty", (size, n))[1:]
     for i in range(n_sources):
         _inf_unless(transmits[i], delay[i], penalty)
     acquisition[0] = 0.0
@@ -240,12 +241,12 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
 
 def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
                    design: StudyDesignFilter, rng: np.random.Generator,
-                   scratch: Optional[_Scratch] = None) -> CohortObserved:
+                   new: _Scratch) -> CohortObserved:
     """Apply the testing policy, as ``apply_policy`` does. Draws
     participation (below 1 only), then random schedule phases (one per
     unit when shared, else one per person); keeps tested flags and
-    reported onsets only where ``design`` reads them."""
-    new = scratch or _Scratch()
+    reported onsets only where ``design`` reads them. Arrays come from
+    ``new``."""
     acquisition = truth.acquisition
     shape = acquisition.shape
     tested = None
@@ -261,7 +262,7 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
                                policy.participation,
                                out=new("participates", shape, bool))
     positive_until = truth.positive_until
-    penalty, hit = new("work", shape), new("hit", shape, bool)
+    penalty, hit = new("penalty", shape), new("hit", shape, bool)
 
     if policy.kind in SYMPTOM_KINDS:
         t = np.add(truth.onset, policy.delay_days, out=new("symptom_time", shape))
@@ -286,9 +287,8 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
             phase = rng.random(out=new("phase", shape[1:] if policy.shared_phase
                                        else shape))
             phase *= k
-            # In the select's scratch when per person: dead before the select.
             last_slot = np.subtract(policy.horizon_days, phase,
-                                    out=new("work", phase.shape))
+                                    out=new("last_slot", phase.shape))
         else:
             last_slot = policy.horizon_days - phase
         # First slot phase + j * k at or after acquisition (j >= 0, as the
@@ -314,11 +314,10 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
 
 
 def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
-                   index_rule: str,
-                   scratch: Optional[_Scratch] = None) -> CohortAnalysis:
+                   index_rule: str, new: _Scratch) -> CohortAnalysis:
     """Index, exclusions and per-unit counts, as ``analyze_unit`` does
-    (``true_primary`` anchors on row 0, as its ``index_id`` override)."""
-    new = scratch or _Scratch()
+    (``true_primary`` anchors on row 0, as its ``index_id`` override).
+    Arrays come from ``new``."""
     first_positive = obs.first_positive
     size, n = first_positive.shape
     if index_rule == "true_primary":
@@ -330,11 +329,11 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
         rows = np.min_scalar_type(size)
         index = new("index", (n,), rows)
         index.fill(0)
-        step, hit = new("step", (n,), rows), new("hit", (n,), bool)
+        step, is_first = new("step", (n,), rows), new("is_first", (n,), bool)
         for i in range(size - 1, -1, -1):  # ties go to the lowest id
             # index = i where row i is first, as arithmetic: no branch.
             np.subtract(index, i, out=step)
-            step *= np.equal(first_positive[i], first, out=hit)
+            step *= np.equal(first_positive[i], first, out=is_first)
             index -= step
     no_index = np.equal(first, np.inf, out=new("no_index", (n,), bool))
 
@@ -343,8 +342,8 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
     analysed = np.logical_not(no_index, out=new("analysed", (n,), bool))
     if design.coprimary_exclusion_days is not None:
         # Two positive dates within the limit, compared pair by pair.
-        dates = np.floor(first_positive, out=new("work", (size, n)))
-        gap, near = new("gap", (n,)), new("hit", (n,), bool)
+        dates = np.floor(first_positive, out=new("dates", (size, n)))
+        gap, near = new("gap", (n,)), new("near", (n,), bool)
         with np.errstate(invalid="ignore"):  # inf - inf between two misses
             for i in range(1, size):
                 for j in range(i):
@@ -366,9 +365,9 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
         events, own = events[1:], False
     with np.errstate(invalid="ignore"):  # inf - inf in units without index
         lag = np.subtract(events, anchor,
-                          out=new("work", (size, n))[:len(events)])
+                          out=new("lag", (size, n))[:len(events)])
     in_window = np.greater_equal(lag, lo, out=new("in_window", lag.shape, bool))
-    in_window &= np.less_equal(lag, hi, out=new("hit", lag.shape, bool))
+    in_window &= np.less_equal(lag, hi, out=new("below_hi", lag.shape, bool))
     attributed = _per_unit(in_window, new("attributed", (n,), np.int64))
     attributed *= analysed
     if own:
@@ -383,8 +382,7 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
 
 
 def _count(truth: CohortTruth, analysis: CohortAnalysis, vaccinated: bool,
-           scratch: Optional[_Scratch] = None) -> CohortCounts:
-    new = scratch or _Scratch()
+           new: _Scratch) -> CohortCounts:
     attributed, at_risk, analysed = (analysis.attributed, analysis.at_risk,
                                      analysis.analysed)
     n = len(attributed)

@@ -15,8 +15,8 @@ from sarbias import (DurationModelParams, PolicyKind, ScenarioConfig,
 from sarbias.harness import (scheduled_reference, spawn_rng,
                              symptom_reference)
 from sarbias.infer import ArmCounts
-from sarbias.mc import (COHORT_CHUNK, CohortTruth, _count, analyze_cohort,
-                        observe_cohort, simulate_cohort)
+from sarbias.mc import (COHORT_CHUNK, CohortTruth, _count, _Scratch,
+                        analyze_cohort, observe_cohort, simulate_cohort)
 from sarbias.observe import SCHEDULED_KINDS, SYMPTOM_KINDS
 WINDOWS = [(-60.0, 60.0), (0.0, 60.0), (1.0, 7.0), (2.0, 14.0), (0.0, 4.0)]
 
@@ -133,7 +133,9 @@ class TestUnitByUnit:
         # Observe with every optional output kept, to compare them too.
         full = StudyDesignFilter(require_contact_tested=True,
                                  anchor=WindowAnchor.ONSET_TIME)
-        obs = observe_cohort(truth, cfg.policy, full, np.random.default_rng(0))
+        scratch = _Scratch()
+        obs = observe_cohort(truth, cfg.policy, full, np.random.default_rng(0),
+                             scratch)
         for u, unit in enumerate(truths):
             ref = apply_policy(unit, cfg.policy, np.random.default_rng(0))
             assert [t if t is not None else np.inf
@@ -143,7 +145,7 @@ class TestUnitByUnit:
                 onsets = [ref.reported_onsets.get(pid, np.inf)
                           for pid in range(len(unit.persons))]
                 assert onsets == obs.reported_onset[:, u].tolist()
-        analysis = analyze_cohort(obs, cfg.design, cfg.index_rule)
+        analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
         assert engine_records(analysis, obs.first_positive) == expected
 
 
@@ -159,25 +161,29 @@ class TestInvariants:
            seed=st.integers(0, 2**32 - 1))
     def test_engine(self, cfg, vaccinated, seed):
         rng = np.random.default_rng(seed)
-        truth = simulate_cohort(cfg.unit, vaccinated, 200, rng,
-                                cfg.policy.kind in SYMPTOM_KINDS)
-        obs = observe_cohort(truth, cfg.policy, cfg.design, rng)
-        analysis = analyze_cohort(obs, cfg.design, cfg.index_rule)
-        records = engine_records(analysis, obs.first_positive)
-        check_invariants(records)
-        assert not (truth.primary_sourced
-                    & ~np.isfinite(truth.acquisition[1:])).any()
-        # The pooled counts agree with the per-unit records.
-        counts = _count(truth, analysis, vaccinated)
-        for reason in ("no_index", "coprimary"):
-            assert counts.excluded[(reason, vaccinated)] == sum(
-                r[2] == reason for r in records)
-        for arm in (True, False):  # by the index's vaccination status
-            mine = [r for r in records
-                    if r[2] is None and truth.vaccinated[r[3]] == arm]
-            assert counts.observed[arm] == ArmCounts.from_units(
-                [r[0] for r in mine], [r[1] for r in mine])
-        assert counts.truth[vaccinated].n_units == 200
+        # Two chunks of one scratch, as run_cohort runs them: the second
+        # writes over the first's arrays, in a smaller shape.
+        scratch = _Scratch()
+        for n in (200, 137):
+            truth = simulate_cohort(cfg.unit, vaccinated, n, rng,
+                                    cfg.policy.kind in SYMPTOM_KINDS, scratch)
+            obs = observe_cohort(truth, cfg.policy, cfg.design, rng, scratch)
+            analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
+            records = engine_records(analysis, obs.first_positive)
+            check_invariants(records)
+            assert not (truth.primary_sourced
+                        & ~np.isfinite(truth.acquisition[1:])).any()
+            # The pooled counts agree with the per-unit records.
+            counts = _count(truth, analysis, vaccinated, scratch)
+            for reason in ("no_index", "coprimary"):
+                assert counts.excluded[(reason, vaccinated)] == sum(
+                    r[2] == reason for r in records)
+            for arm in (True, False):  # by the index's vaccination status
+                mine = [r for r in records
+                        if r[2] is None and truth.vaccinated[r[3]] == arm]
+                assert counts.observed[arm] == ArmCounts.from_units(
+                    [r[0] for r in mine], [r[1] for r in mine])
+            assert counts.truth[vaccinated].n_units == n
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40),
