@@ -11,13 +11,13 @@ model.
 
 import numpy as np
 
-from sarbias import (Infection, Person, SourceKind, StudyDesignFilter,
+from sarbias import (Infection, SourceKind, StudyDesignFilter,
                      SymptomModelParams, TestingPolicy, UnitConfig,
                      analyze_unit, apply_policy, identify_index, simulate_unit)
 from sarbias.simcore import UnitTruth
 
-persons = [Person(id=i, vaccinated=False) for i in range(4)]
-truth = UnitTruth(persons=persons, infections=[
+# Person 0 is the primary, as in every simulated unit.
+truth = UnitTruth(vaccinated=(False,) * 4, infections=[
     Infection(person_id=0, acquisition_time=0.0, source_kind=SourceKind.PRIMARY,
               source_id=None, symptomatic=True, symptom_onset_time=6.0,
               duration_days=14.0),
@@ -36,7 +36,7 @@ for t in obs.tests:
     print(f"  database row: person {t.person_id} tested day {t.test_time:g}, "
           f"{'positive' if t.positive else 'negative'}")
 index = identify_index(obs)
-print(f"Index case: person {index}; true primary: person {truth.primary_id}")
+print(f"Index case: person {index}; true primary: person 0")
 
 result = analyze_unit(obs, StudyDesignFilter.harris())
 print(f"Window 2-14 days after the index: attributed transmissions = "
@@ -55,7 +55,7 @@ for _ in range(n):
     index = identify_index(apply_policy(unit, policy, rng))
     if index is not None:
         detected += 1
-        misclassified += index != unit.primary_id
+        misclassified += index != 0
 print(f"Under default incubation variability, {misclassified} of {detected} "
       f"detected units ({misclassified / detected:.1%}) name an index other "
       "than the true primary (asymptomatic primaries account for most of it).")

@@ -11,9 +11,8 @@ simulated data: in-window community acquisitions inflate both arms' SARs.
 import numpy as np
 from dataclasses import replace
 
-from sarbias import (Person, StudyDesignFilter, TestRecord, TestingPolicy,
-                     UnitConfig, analyze_unit, apply_policy, estimate_ve_sar,
-                     simulate_unit)
+from sarbias import (StudyDesignFilter, TestRecord, TestingPolicy, UnitConfig,
+                     analyze_unit, apply_policy, estimate_ve_sar, simulate_unit)
 from sarbias.observe import ObservedUnit
 
 presets = {name: ctor() for name, ctor in
@@ -28,10 +27,10 @@ for name, design in presets.items():
           "denominator")
 print()
 
-persons = [Person(id=i, vaccinated=False) for i in range(4)]
-late_community = ObservedUnit(persons=persons, tests=[
+vaccinated = (False,) * 4
+late_community = ObservedUnit.from_records(vaccinated, [
     TestRecord(0, 1.0, True), TestRecord(2, 21.0, True)])
-same_day_pair = ObservedUnit(persons=persons, tests=[
+same_day_pair = ObservedUnit.from_records(vaccinated, [
     TestRecord(0, 3.2, True), TestRecord(1, 3.8, True)])
 
 print("Unit A: index positive day 1, another member positive day 21.")
@@ -56,7 +55,7 @@ for hazard in (0.0, 0.005, 0.02):
         for _ in range(6000):
             truth = simulate_unit(cfg, rng)
             obs = apply_policy(truth, policy, rng)
-            analyses.append(analyze_unit(obs, design, index_id=truth.primary_id))
+            analyses.append(analyze_unit(obs, design, index_id=0))
     est = estimate_ve_sar(analyses)
     print(f"  hazard {hazard:5.3f}: SAR_v {est.sar_v:.4f}  SAR_u {est.sar_u:.4f}"
           f"  VE {est.ve:.3f}")

@@ -20,8 +20,8 @@ from .infer import (EstimationError, StudyDesignFilter, UnitAnalysis,
 from .mc import run_cohort
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
 from .params import DurationModelParams, ParameterError, SymptomModelParams
-from .simcore import (Infection, Person, SourceKind, TransmissionMode,
-                      UnitConfig, UnitTruth, sample_primary, simulate_unit)
+from .simcore import (Infection, SourceKind, TransmissionMode, UnitConfig,
+                      UnitTruth, sample_primary, simulate_unit)
 from .validation import CheckResult, run_validation_suite
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "DegenerateModelError", "DurationModelParams",
     "EstimationError", "InfeasibleTargetError", "Infection",
-    "ObservedUnit", "ParameterError", "Person", "PolicyKind", "ResultRow",
+    "ObservedUnit", "ParameterError", "PolicyKind", "ResultRow",
     "ScenarioConfig", "SourceKind", "StudyDesignFilter", "SymptomModelParams",
     "TestRecord", "TestingPolicy", "TransmissionMode", "UnitAnalysis",
     "UnitConfig", "UnitTruth", "VeRatio", "WindowAnchor",

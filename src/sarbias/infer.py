@@ -214,7 +214,7 @@ def analyze_unit(obs: ObservedUnit, design: StudyDesignFilter,
             n_attributed += 1
 
     # Positional: a named tuple built from keywords takes twice as long.
-    return UnitAnalysis(index_id, obs.persons[index_id].vaccinated, n_at_risk,
+    return UnitAnalysis(index_id, obs.vaccinated[index_id], n_at_risk,
                         n_attributed, False)
 
 

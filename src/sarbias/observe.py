@@ -13,11 +13,12 @@ positive exactly when ``t`` falls inside the person's test-positivity
 window ``[acquisition, acquisition + duration)``. Assay error is out of
 scope.
 
-:class:`ObservedUnit` holds a per-person summary of those rows, which is
-all inference reads: the first positive test time, whether the person was
-tested at all, and the reported symptom onset. :func:`apply_policy`
-computes the summary without generating rows; ``ObservedUnit.tests``
-lists the rows themselves, built on first access, for inspection.
+:class:`ObservedUnit` holds each person's vaccination status and a
+summary of their rows, which is all inference reads: the first positive
+test time, whether the person was tested at all, and the reported symptom
+onset. :func:`apply_policy` computes the summary without generating rows;
+``ObservedUnit.tests`` lists the rows themselves, built on each access,
+for inspection.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -144,63 +145,48 @@ class TestRecord:
     positive: bool
 
 
-class ObservedUnit:
-    """What the retrospective database sees of one unit, per person.
+class ObservedUnit(NamedTuple):
+    """What the retrospective database sees of one unit, per person. An
+    immutable named tuple, like :class:`~sarbias.simcore.Infection`.
 
-    Inference reads three facts per person, indexed by person id:
-    ``first_positive`` (time of the first positive test, or ``None``),
-    ``tested`` (whether the person has any test record), and
+    Inference reads four facts per person, indexed by person id:
+    ``vaccinated``, ``first_positive`` (time of the first positive test, or
+    ``None``), ``tested`` (whether the person has any test record), and
     ``reported_onsets``, which maps person id to the symptom-onset date
     reported with a symptom-prompted test (scheduled tests report no onset).
 
-    ``tests`` lists the underlying records sorted by time, then person. It
-    is a debug view: units from :func:`apply_policy` build it on first
-    access only. A unit built by hand from records derives the summary
-    from them.
+    ``records`` builds the underlying records sorted by time, then person,
+    and ``tests`` calls it on each access: a debug view that
+    :func:`apply_policy` never builds. :meth:`from_records` builds a unit
+    by hand from its records.
     """
 
-    __slots__ = ("persons", "first_positive", "tested", "reported_onsets",
-                 "_tests", "_build_tests")
+    vaccinated: tuple[bool, ...]
+    first_positive: list[Optional[float]]
+    tested: list[bool]
+    reported_onsets: dict[int, float]
+    records: Callable[[], list[TestRecord]]
 
-    def __init__(self, persons: Sequence, tests: list[TestRecord],
-                 reported_onsets: Optional[dict[int, float]] = None) -> None:
-        first_positive: list[Optional[float]] = [None] * len(persons)
-        tested = [False] * len(persons)
+    @classmethod
+    def from_records(cls, vaccinated: tuple[bool, ...], tests: list[TestRecord],
+                     reported_onsets: Optional[dict[int, float]] = None
+                     ) -> "ObservedUnit":
+        """The unit whose records are ``tests``, its summary derived from them."""
+        first_positive: list[Optional[float]] = [None] * len(vaccinated)
+        tested = [False] * len(vaccinated)
         for record in tests:
             pid = record.person_id
             tested[pid] = True
             first = first_positive[pid]
             if record.positive and (first is None or record.test_time < first):
                 first_positive[pid] = record.test_time
-        self.persons = persons  # Person per id; the source truth's tuple
-        self.first_positive = first_positive
-        self.tested = tested
-        self.reported_onsets = {} if reported_onsets is None else reported_onsets
-        self._tests: Optional[list[TestRecord]] = tests
-        self._build_tests: Optional[Callable[[], list[TestRecord]]] = None
-
-    @classmethod
-    def _from_summary(cls, persons: Sequence, first_positive: list[Optional[float]],
-                      tested: list[bool], reported_onsets: dict[int, float],
-                      build_tests: Callable[[], list[TestRecord]]) -> "ObservedUnit":
-        obs = cls.__new__(cls)
-        obs.persons = persons
-        obs.first_positive = first_positive
-        obs.tested = tested
-        obs.reported_onsets = reported_onsets
-        obs._tests = None
-        obs._build_tests = build_tests
-        return obs
+        return cls(vaccinated, first_positive, tested,
+                   {} if reported_onsets is None else reported_onsets,
+                   lambda: tests)
 
     @property
     def tests(self) -> list[TestRecord]:
-        if self._tests is None:
-            self._tests = self._build_tests()
-            self._build_tests = None
-        return self._tests
-
-    def tests_of(self, person_id: int) -> list[TestRecord]:
-        return [t for t in self.tests if t.person_id == person_id]
+        return self.records()
 
 
 def _positive_at(inf: Optional[Infection], t: float) -> bool:
@@ -296,10 +282,10 @@ def apply_policy(truth: UnitTruth, policy: TestingPolicy,
     at or after acquisition, when that slot falls inside the positivity
     window and the horizon.
     """
-    persons = truth.persons
-    n = len(persons)
+    vaccinated = truth.vaccinated
+    n = len(vaccinated)
     if policy.kind is PolicyKind.NO_TESTING:
-        return ObservedUnit(persons=persons, tests=[])
+        return ObservedUnit.from_records(vaccinated, [])
 
     if policy.participation >= 1.0:
         participates = [True] * n
@@ -335,6 +321,5 @@ def apply_policy(truth: UnitTruth, policy: TestingPolicy,
                     and (first is None or t < first)):
                 first_positive[pid] = t
 
-    return ObservedUnit._from_summary(
-        persons, first_positive, tested, onsets,
-        lambda: _records(truth, policy, participates, phases))
+    return ObservedUnit(vaccinated, first_positive, tested, onsets,
+                        lambda: _records(truth, policy, participates, phases))

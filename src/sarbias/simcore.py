@@ -30,7 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -49,12 +49,6 @@ class TransmissionMode(Enum):
     PER_UNIT_BERNOULLI = "per_unit_bernoulli"
     PER_DAY_HAZARD = "per_day_hazard"
     PER_DAY_HAZARD_EXACT = "per_day_hazard_exact"
-
-
-@dataclass(frozen=True, slots=True)
-class Person:
-    id: int
-    vaccinated: bool
 
 
 class Infection(NamedTuple):
@@ -151,33 +145,25 @@ class UnitConfig:
 class UnitTruth:
     """Fully observed outcome of one transmission unit.
 
-    ``persons`` is indexed by person id. :func:`simulate_unit` shares one
-    tuple between every unit of the same shape, so it must not be mutated.
-    ``infections`` lists the :class:`Infection` records in acquisition order.
+    ``vaccinated`` holds each person's status, indexed by person id.
+    Person 0 is the primary: ``infections`` lists the :class:`Infection`
+    records in acquisition order, so its first is person 0's ``PRIMARY``
+    infection at time 0.
     """
 
-    persons: tuple[Person, ...]
+    vaccinated: tuple[bool, ...]
     infections: list[Infection]
 
     @property
-    def primary_id(self) -> int:
-        for inf in self.infections:
-            if inf.source_kind is SourceKind.PRIMARY:
-                return inf.person_id
-        raise ValueError("unit has no primary infection")
-
-    @property
     def primary_vaccinated(self) -> bool:
-        pid = self.primary_id
-        return self.persons[pid].vaccinated
+        return self.vaccinated[0]
 
     def n_contacts(self) -> int:
-        return len(self.persons) - 1
+        return len(self.vaccinated) - 1
 
     def primary_sourced_transmissions(self) -> int:
-        pid = self.primary_id
         return sum(1 for inf in self.infections
-                   if inf.source_kind is SourceKind.CONTACT and inf.source_id == pid)
+                   if inf.source_kind is SourceKind.CONTACT and inf.source_id == 0)
 
 
 def _make_infection(cfg: UnitConfig, rng: np.random.Generator, person_id: int,
@@ -199,8 +185,9 @@ def _make_infection(cfg: UnitConfig, rng: np.random.Generator, person_id: int,
                      symptomatic, onset, duration)
 
 
-def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[Person, Infection]:
-    """Draw the unit's primary case: vaccination, symptoms, duration, onset.
+def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[bool, Infection]:
+    """Draw the unit's primary case, person 0: whether it is vaccinated,
+    and its infection (symptoms, duration, onset).
 
     The primary acquires infection at time 0, which anchors the unit's
     clock. Symptom probability is ``rho_symptom`` for unvaccinated and
@@ -210,18 +197,7 @@ def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[Person, I
     vaccinated = vax_coin < cfg.p_primary_vaccinated
     infection = _make_infection(cfg, rng, 0, vaccinated, 0.0,
                                 SourceKind.PRIMARY, None, coin, u)
-    persons = _persons(cfg.unit_size, cfg.contacts_vaccinated, vaccinated)
-    return persons[0], infection
-
-
-@cache
-def _persons(unit_size: int, contacts_vaccinated: bool,
-             primary_vaccinated: bool) -> tuple[Person, ...]:
-    """The members of a unit, person 0 the primary. One immutable tuple per
-    unit shape, shared by every unit of that shape."""
-    return (Person(id=0, vaccinated=primary_vaccinated),) + tuple(
-        Person(id=i, vaccinated=contacts_vaccinated)
-        for i in range(1, unit_size))
+    return vaccinated, infection
 
 
 def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
@@ -233,9 +209,9 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
     Community acquisitions arrive per contact at the configured daily
     hazard within ``followup_days``.
     """
-    primary_person, primary_infection = sample_primary(cfg, rng)
-    persons = _persons(cfg.unit_size, cfg.contacts_vaccinated,
-                       primary_person.vaccinated)
+    primary_vaccinated, primary_infection = sample_primary(cfg, rng)
+    vaccinated = ((primary_vaccinated,)
+                  + (cfg.contacts_vaccinated,) * (cfg.unit_size - 1))
 
     infections: dict[int, Infection] = {0: primary_infection}
     # Heap entries: (time, sequence, target_id, source_kind, source_id).
@@ -246,7 +222,7 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
 
     def push_transmissions(source: Infection) -> None:
         nonlocal counter
-        src_vax = persons[source.person_id].vaccinated
+        src_vax = vaccinated[source.person_id]
         duration = source.duration_days
         if mode is TransmissionMode.PER_UNIT_BERNOULLI:
             p = cfg._contact_probabilities[src_vax][source.symptomatic]
@@ -289,11 +265,11 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
             continue
         coin, u = rng.random(2).tolist()
         infection = _make_infection(cfg, rng, target_id,
-                                    persons[target_id].vaccinated, t, kind,
+                                    vaccinated[target_id], t, kind,
                                     source_id, coin, u)
         infections[target_id] = infection
         if cfg.contact_to_contact:
             push_transmissions(infection)
 
     # Pops come in time order, so insertion order is acquisition order.
-    return UnitTruth(persons, list(infections.values()))
+    return UnitTruth(vaccinated, list(infections.values()))

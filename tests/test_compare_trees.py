@@ -1,6 +1,5 @@
 """The two-tree output comparison of ``tools/compare_trees.py``."""
 
-import ast
 import importlib.util
 import io
 import sys
@@ -44,26 +43,3 @@ def test_a_difference_is_reported_with_its_diff(tmp_path):
     lines = out.getvalue().splitlines()
     assert lines[0] == "different  demo d.py"
     assert "-other" in lines and "+mine" in lines
-
-
-def _bench_pipelines() -> dict:
-    """``PIPELINES`` of bench/run.py, read from its source without running
-    it: workload name -> (units per arm, setup lines, design preset)."""
-    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
-    (table,) = [node.value for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)]
-                == ["PIPELINES"]]
-    pipelines = {}
-    for name, spec in zip(table.keys, table.values):
-        given = {k.arg: k.value for k in spec.keywords}
-        pipelines[ast.literal_eval(name)] = tuple(
-            ast.literal_eval(given[field])
-            for field in ("units_per_arm", "setup", "design"))
-    return pipelines
-
-
-def test_pipelines_follow_the_benchmark():
-    # A stale copy would compare configs the benchmark no longer runs.
-    assert {f"pipeline-{name}": spec for name, spec
-            in compare_trees.PIPELINES.items()} == _bench_pipelines()

@@ -59,7 +59,7 @@ def scenario_configs(draw, rng_free=False):
 
 def cohort_truth(truths):
     """Person-major arrays of units simulated by the object pipeline."""
-    size, n = len(truths[0].persons), len(truths)
+    size, n = len(truths[0].vaccinated), len(truths)
     acquisition = np.full((size, n), np.inf)
     duration = np.ones((size, n))
     onset = np.full((size, n), np.inf)
@@ -69,7 +69,7 @@ def cohort_truth(truths):
             duration[inf.person_id, u] = inf.duration_days
             if inf.symptomatic:
                 onset[inf.person_id, u] = inf.symptom_onset_time
-    vaccinated = np.array([p.vaccinated for p in truths[0].persons])
+    vaccinated = np.array(truths[0].vaccinated)
     return CohortTruth(vaccinated=vaccinated, acquisition=acquisition,
                        positive_until=acquisition + duration, onset=onset,
                        primary_sourced=np.zeros((size - 1, n), dtype=bool))
@@ -112,14 +112,14 @@ def run_pipeline(cfg, vaccinated, n, rng):
     """Units through simulate_unit, apply_policy and analyze_unit, as
     run_scenario runs them; returns the truths and per-unit records."""
     unit_cfg = replace(cfg.unit, p_primary_vaccinated=float(vaccinated))
+    index_id = 0 if cfg.index_rule == "true_primary" else None
     truths, records = [], []
     for _ in range(n):
         truth = simulate_unit(unit_cfg, rng)
         obs = apply_policy(truth, cfg.policy, rng)
-        override = truth.primary_id if cfg.index_rule == "true_primary" else None
         truths.append(truth)
         records.append(pipeline_record(
-            analyze_unit(obs, cfg.design, index_id=override), obs))
+            analyze_unit(obs, cfg.design, index_id=index_id), obs))
     return truths, records
 
 
@@ -143,7 +143,7 @@ class TestUnitByUnit:
             assert ref.tested == obs.tested[:, u].tolist()
             if obs.reported_onset is not None:
                 onsets = [ref.reported_onsets.get(pid, np.inf)
-                          for pid in range(len(unit.persons))]
+                          for pid in range(len(unit.vaccinated))]
                 assert onsets == obs.reported_onset[:, u].tolist()
         analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
         assert engine_records(analysis, obs.first_positive) == expected

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sarbias import (EstimationError, Infection, Person, SourceKind,
+from sarbias import (EstimationError, Infection, SourceKind,
                      StudyDesignFilter, SymptomModelParams, TestRecord,
                      TestingPolicy, UnitAnalysis, UnitConfig, WindowAnchor,
                      analyze_unit, apply_policy, estimate_ve_sar,
@@ -13,10 +13,8 @@ from sarbias.simcore import UnitTruth
 
 
 def observed(tests, n_persons=4, vaccinated=None, onsets=None):
-    vaccinated = vaccinated or [False] * n_persons
-    persons = [Person(id=i, vaccinated=v) for i, v in enumerate(vaccinated)]
-    return ObservedUnit(persons=persons, tests=list(tests),
-                        reported_onsets=onsets or {})
+    vaccinated = tuple(vaccinated or [False] * n_persons)
+    return ObservedUnit.from_records(vaccinated, list(tests), onsets)
 
 
 def pos(person_id, t):
@@ -56,7 +54,6 @@ class TestMisclassifiedIndex:
 
     @staticmethod
     def build_truth():
-        persons = [Person(id=i, vaccinated=False) for i in range(4)]
         primary = Infection(person_id=0, acquisition_time=0.0,
                             source_kind=SourceKind.PRIMARY, source_id=None,
                             symptomatic=True, symptom_onset_time=6.0,
@@ -65,13 +62,14 @@ class TestMisclassifiedIndex:
                               source_kind=SourceKind.CONTACT, source_id=0,
                               symptomatic=True, symptom_onset_time=5.0,
                               duration_days=14.0)
-        return UnitTruth(persons=persons, infections=[primary, secondary])
+        return UnitTruth(vaccinated=(False,) * 4,
+                         infections=[primary, secondary])
 
     def test_index_is_not_primary(self):
         truth = self.build_truth()
         obs = apply_policy(truth, TestingPolicy.symptom_prompted(),
                            np.random.default_rng(0))
-        assert identify_index(obs) == 1 != truth.primary_id
+        assert identify_index(obs) == 1  # not the primary, person 0
 
     def test_transmission_undercounted(self):
         truth = self.build_truth()
@@ -266,8 +264,6 @@ class TestEstimateVeSar:
 def truth(vaccinated, at_risk, attributed):
     """A fully observed unit whose primary infected ``attributed`` of its
     ``at_risk`` contacts."""
-    persons = [Person(id=i, vaccinated=vaccinated and i == 0)
-               for i in range(at_risk + 1)]
     infections = [Infection(person_id=0, acquisition_time=0.0,
                             source_kind=SourceKind.PRIMARY, source_id=None,
                             symptomatic=True, symptom_onset_time=5.0,
@@ -277,7 +273,8 @@ def truth(vaccinated, at_risk, attributed):
                              symptomatic=False, symptom_onset_time=None,
                              duration_days=10.0)
                    for i in range(1, attributed + 1)]
-    return UnitTruth(persons=persons, infections=infections)
+    return UnitTruth(vaccinated=(vaccinated,) + (False,) * at_risk,
+                     infections=infections)
 
 
 UNIT_COUNTS = st.lists(

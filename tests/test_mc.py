@@ -45,7 +45,7 @@ def object_pipeline_reference(unit_cfg, policy, design, n_per_arm, seed):
         for _ in range(n_per_arm):
             truth = simulate_unit(cfg, rng)
             obs = apply_policy(truth, policy, rng)
-            analyses.append(analyze_unit(obs, design, index_id=truth.primary_id))
+            analyses.append(analyze_unit(obs, design, index_id=0))
     return estimate_ve_sar(analyses)
 
 

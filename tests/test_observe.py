@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sarbias import (Infection, ParameterError, Person, SourceKind,
-                     SymptomModelParams, TestingPolicy, UnitConfig,
+from sarbias import (Infection, ParameterError, SourceKind, SymptomModelParams, TestingPolicy, UnitConfig,
                      apply_policy, sampling_fraction, simulate_unit)
 from sarbias.observe import (SCHEDULED_KINDS, SYMPTOM_KINDS, ObservedUnit,
                              PolicyKind)
@@ -14,8 +13,7 @@ from sarbias.simcore import UnitTruth
 
 
 def make_unit(infections, n_persons=4):
-    persons = [Person(id=i, vaccinated=False) for i in range(n_persons)]
-    return UnitTruth(persons=persons, infections=infections)
+    return UnitTruth(vaccinated=(False,) * n_persons, infections=infections)
 
 
 def primary_infection(duration=14.0, symptomatic=True, onset=6.0):
@@ -141,7 +139,7 @@ class TestScheduledTesting:
         unit = make_unit([primary_infection()])
         policy = TestingPolicy.scheduled(7.0, shared_phase=True)
         obs = apply_policy(unit, policy, np.random.default_rng(2))
-        first_times = {min(t.test_time for t in obs.tests_of(pid))
+        first_times = {min(t.test_time for t in obs.tests if t.person_id == pid)
                        for pid in range(4) if obs.tested[pid]}
         assert len(first_times) == 1
 
@@ -214,14 +212,15 @@ class TestScheduledTesting:
         policy = TestingPolicy.symptom_plus_scheduled(interval_days=15.0)
         obs = apply_policy(unit, policy, np.random.default_rng(8))
         assert 0 in obs.reported_onsets
-        assert any(t.test_time == 6.0 for t in obs.tests_of(0))
-        assert len(obs.tests_of(1)) >= 4  # scheduled grid for the contact
+        assert any(t.test_time == 6.0 for t in obs.tests if t.person_id == 0)
+        # The scheduled grid for the contact.
+        assert sum(t.person_id == 1 for t in obs.tests) >= 4
 
 
 def assert_summary_matches_records(obs):
     """The summary equals the one a hand-built unit derives from records."""
-    rebuilt = ObservedUnit(obs.persons, tests=obs.tests,
-                           reported_onsets=obs.reported_onsets)
+    rebuilt = ObservedUnit.from_records(obs.vaccinated, obs.tests,
+                                        obs.reported_onsets)
     assert obs.first_positive == rebuilt.first_positive
     assert obs.tested == rebuilt.tested
 
@@ -284,7 +283,7 @@ class TestSummaryMatchesRecords:
             for _ in range(abs(nudge)):
                 t = math.nextafter(t, math.inf if nudge > 0 else -math.inf)
             return inf._replace(acquisition_time=t)
-        truth = UnitTruth(persons=truth.persons,
+        truth = UnitTruth(vaccinated=truth.vaccinated,
                           infections=[on_edge(inf) for inf in truth.infections])
         policy = TestingPolicy.scheduled(interval, fixed_phase=phase)
         obs = apply_policy(truth, policy, np.random.default_rng(0))

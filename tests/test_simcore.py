@@ -27,7 +27,7 @@ class TestSamplePrimary:
     def test_never_vaccinated_when_p_zero(self):
         cfg = UnitConfig(p_primary_vaccinated=0.0)
         rng = rng_for(1)
-        assert not any(sample_primary(cfg, rng)[0].vaccinated for _ in range(200))
+        assert not any(sample_primary(cfg, rng)[0] for _ in range(200))
 
     def test_vaccinated_symptomatic_fraction(self):
         # Defaults: lambda * rho = 0.1 among vaccinated primaries.
@@ -44,8 +44,8 @@ class TestSamplePrimary:
         rng = rng_for(3)
         table = np.zeros((2, 2), dtype=int)
         for _ in range(100_000):
-            person, infection = sample_primary(cfg, rng)
-            table[int(person.vaccinated), int(infection.symptomatic)] += 1
+            vaccinated, infection = sample_primary(cfg, rng)
+            table[int(vaccinated), int(infection.symptomatic)] += 1
         _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 0.001
 
@@ -113,12 +113,16 @@ class TestSimulateUnit:
         for unit in simulate_many(cfg, 400, 10):
             ids = [inf.person_id for inf in unit.infections]
             assert len(ids) == len(set(ids))
-            assert len(unit.infections) <= len(unit.persons)
+            assert len(unit.infections) <= len(unit.vaccinated)
 
     def test_sources_form_forest_rooted_at_primary_or_community(self):
         cfg = UnitConfig(symptom=SymptomModelParams(tau=0.8),
                          contact_to_contact=True, community_daily_hazard=0.05)
         for unit in simulate_many(cfg, 300, 11):
+            # Person 0 is the primary, infected first, at time 0.
+            primary = unit.infections[0]
+            assert (primary.person_id, primary.source_kind,
+                    primary.acquisition_time) == (0, SourceKind.PRIMARY, 0.0)
             by_person = {inf.person_id: inf for inf in unit.infections}
             for inf in unit.infections:
                 hops = 0
@@ -126,7 +130,7 @@ class TestSimulateUnit:
                 while node.source_kind is SourceKind.CONTACT:
                     node = by_person[node.source_id]
                     hops += 1
-                    assert hops <= len(unit.persons)
+                    assert hops <= len(unit.vaccinated)
                 assert node.source_kind in (SourceKind.PRIMARY, SourceKind.COMMUNITY)
             assert sum(1 for i in unit.infections
                        if i.source_kind is SourceKind.PRIMARY) == 1
@@ -137,14 +141,14 @@ class TestSimulateUnit:
             for inf in unit.infections:
                 if inf.source_kind is not SourceKind.PRIMARY:
                     assert inf.source_kind is SourceKind.CONTACT
-                    assert inf.source_id == unit.primary_id
+                    assert inf.source_id == 0
 
     def test_contact_chains_reach_second_generation(self):
         cfg = UnitConfig(unit_size=6, contact_to_contact=True,
                          symptom=SymptomModelParams(tau=0.9, delta=1.0, nu=1.0))
         units = simulate_many(cfg, 300, 13)
         second_gen = any(
-            inf.source_kind is SourceKind.CONTACT and inf.source_id != u.primary_id
+            inf.source_kind is SourceKind.CONTACT and inf.source_id != 0
             for u in units for inf in u.infections)
         assert second_gen
 

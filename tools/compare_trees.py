@@ -8,9 +8,10 @@ Each command runs once per tree, in a fresh interpreter with the tree's
 only the command's input files. Its output is its exit code, stdout,
 stderr and every file it leaves in that directory. The commands are
 ``simulate`` on the design and twin configs of both pipeline benchmark
-workloads at seeds 1-5, ``validate --units 1000000 --seed 1``, the three
-figure sweeps without and with Monte Carlo columns, the seven ``analytic``
-forms at their defaults, and every script under ``demos/``.
+workloads at seeds 1-5, as ``bench/run.py`` writes them, ``validate
+--units 1000000 --seed 1``, the three figure sweeps without and with Monte
+Carlo columns, the seven ``analytic`` forms at their defaults, and every
+script under ``demos/``.
 
 Prints one ``identical`` or ``different`` line per command, followed by a
 unified diff of any difference, and exits 0 only when every output is
@@ -29,20 +30,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-TIMEOUT_S = 600
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "bench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "bench"))
 
-# The two pipeline workloads of bench/run.py, as its config files read:
-# units per arm, the lines both rows share, and the design row's preset
-# (tests/test_compare_trees.py checks them against bench/run.py).
-PIPELINES = {
-    "scheduled": (5000, "unit.size = 4\n"
-                        "unit.transmission_mode = per_day_hazard\n"
-                        "policy.kind = scheduled\n"
-                        "policy.interval_days = 7\n", "harris"),
-    "symptom": (10000, "unit.size = 8\n"
-                       "unit.transmission_mode = per_unit_bernoulli\n"
-                       "policy.kind = symptom_prompted\n", "lyngse"),
-}
+import run as bench  # noqa: E402  (bench/run.py: the benchmark's workloads)
+
+TIMEOUT_S = 600
 ANALYTIC_FORMS = ("symptom-target-mu", "symptom-actual-mu", "invert-nu",
                   "infrequent-target-mu", "sampling-fraction",
                   "infrequent-observed-component", "infrequent-observed-mu")
@@ -58,31 +52,20 @@ class Command:
     inputs: dict[str, str] = field(default_factory=dict)
 
 
-def _config(scenario_id: str, seed: int, units: int, setup: str,
-            preset: str, index_rule: str) -> str:
-    return (f"scenario.id = {scenario_id}\n"
-            f"scenario.seed = {seed}\n"
-            f"scenario.units_per_arm = {units}\n"
-            f"scenario.index_rule = {index_rule}\n"
-            f"{setup}"
-            f"filter.preset = {preset}\n")
-
-
 def default_commands() -> list[Command]:
     cli = ("-m", "sarbias.cli")
     commands = []
-    for workload, (units, setup, preset) in PIPELINES.items():
-        for seed in range(1, 6):
-            for row, text in (
-                    ("design", _config(preset, seed, units, setup, preset,
-                                       "earliest_positive")),
-                    ("twin", _config("reference", seed, units, setup,
-                                     "maximal", "true_primary"))):
-                commands.append(Command(
-                    f"simulate {workload} {row} seed {seed}",
-                    cli + ("simulate", "--config", "scenario.cfg",
-                           "--out", "rows.csv"),
-                    {"scenario.cfg": text}))
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload, spec in bench.PIPELINES.items():
+            for seed in range(1, 6):
+                configs = bench.pipeline_configs(spec, Path(workdir), seed)
+                for row, path in zip(("design", "twin"), configs):
+                    commands.append(Command(
+                        f"simulate {workload.removeprefix('pipeline-')} {row} "
+                        f"seed {seed}",
+                        cli + ("simulate", "--config", "scenario.cfg",
+                               "--out", "rows.csv"),
+                        {"scenario.cfg": path.read_text(encoding="utf-8")}))
     commands.append(Command("validate --units 1000000 --seed 1",
                             cli + ("validate", "--units", "1000000",
                                    "--seed", "1")))
@@ -95,8 +78,7 @@ def default_commands() -> list[Command]:
     commands += [Command(f"analytic --form {form}",
                          cli + ("analytic", "--form", form))
                  for form in ANALYTIC_FORMS]
-    demos = sorted(p.name for p in
-                   (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    demos = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
     commands += [Command(f"demo {name}", (f"{{root}}/demos/{name}",))
                  for name in demos]
     return commands
