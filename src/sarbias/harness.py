@@ -326,36 +326,37 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
 
 def _analytic_columns(cfg: ScenarioConfig) -> tuple[float, float]:
     """(target VE, analytic observed VE) where the closed forms hold, NaN
-    elsewhere. The target needs the unit to follow their generative model:
-    the reference config's transmission mode, no community or
+    elsewhere. The target is the unit's alone: it needs per-unit Bernoulli
+    transmission or the linear per-day hazard, no community or
     contact-to-contact infection, and unvaccinated contacts. The observed VE
-    also needs the row's index rule, policy and design to equal those of the
-    reference config at the row's parameters, a window covering the
-    reference's counting as maximal."""
+    also needs the row's transmission mode, index rule, policy and design to
+    equal the reference config's at the row's parameters, a window covering
+    the reference's counting as maximal."""
     unit, policy, design = cfg.unit, cfg.policy, cfg.design
     s, d = unit.symptom, unit.duration
-    if policy.kind is PolicyKind.SYMPTOM_PROMPTED:
-        reference = symptom_reference(s, d)
-    elif policy.kind is PolicyKind.SCHEDULED:
-        reference = scheduled_reference(d, policy.interval_days)
-    else:
-        return math.nan, math.nan
-    if (unit.transmission_mode is not reference.unit.transmission_mode
+    if (unit.transmission_mode is TransmissionMode.PER_DAY_HAZARD_EXACT
             or unit.community_daily_hazard > 0 or unit.contact_to_contact
             or unit.contacts_vaccinated):
         return math.nan, math.nan
-    if policy.kind is PolicyKind.SYMPTOM_PROMPTED:
+    if unit.transmission_mode is TransmissionMode.PER_UNIT_BERNOULLI:
         target = 1.0 - estimands.symptom_prompted_target_mu(s)
-        actual = 1.0 - estimands.symptom_prompted_actual_mu(s)
     else:
         target = 1.0 - estimands.infrequent_target_mu(d)
+    if policy.kind is PolicyKind.SYMPTOM_PROMPTED:
+        reference = symptom_reference(s, d)
+        actual = 1.0 - estimands.symptom_prompted_actual_mu(s)
+    elif policy.kind is PolicyKind.SCHEDULED:
+        reference = scheduled_reference(d, policy.interval_days)
         actual = 1.0 - estimands.infrequent_observed_mu(policy.interval_days, d)
+    else:
+        return target, math.nan
     lo, hi = design.attribution_window
     maximal = reference.design.attribution_window
     if lo <= maximal[0] and hi >= maximal[1]:
         design = replace(design, attribution_window=maximal)
-    if (cfg.index_rule, policy, design) != (reference.index_rule,
-                                            reference.policy, reference.design):
+    if (unit.transmission_mode, cfg.index_rule, policy, design) != (
+            reference.unit.transmission_mode, reference.index_rule,
+            reference.policy, reference.design):
         actual = math.nan
     return target, actual
 
@@ -503,7 +504,7 @@ def sweep_figure(figure: str, units_per_arm: int = 0,
     the Monte Carlo columns from a cohort-engine run, row ``i`` drawing
     from the stream of ``(seed, i)`` on the worker pool of
     :func:`_parallel_map`, so the bytes do not depend on the worker count.
-    A row whose estimate is undefined raises ``EstimationError``.
+    An undefined estimate raises ``EstimationError`` naming its row and cell.
     """
     scenario_id = f"figure_{figure}"
 
@@ -516,8 +517,14 @@ def sweep_figure(figure: str, units_per_arm: int = 0,
         if units_per_arm <= 0:
             return ResultRow(scenario_id, actual_ve_analytic=actual, **columns)
         counts = run_cohort(cfg, units_per_arm, spawn_rng(seed, row_index))
+        try:
+            estimate = counts.observed_ratio()
+        except EstimationError as exc:
+            axes = ("delta", "target VE") if figure == "1a" else ("target VE", "k")
+            where = ", ".join(f"{axis} {v:g}" for axis, v in zip(axes, cell))
+            raise EstimationError(f"figure {figure} row {row_index} "
+                                  f"({where}): {exc}") from None
         return ResultRow(scenario_id, actual_ve_analytic=actual, **columns,
-                         **_mc_columns(units_per_arm, counts.observed_ratio(),
-                                       counts.excluded))
+                         **_mc_columns(units_per_arm, estimate, counts.excluded))
 
     return _parallel_map(run_row, list(enumerate(FIGURE_GRIDS[figure])))

@@ -7,8 +7,9 @@ the primary), a fixed-size chunk of units at a time, in three steps:
 It implements every scenario field and reproduces the object pipeline in
 law, not draw for draw: it draws every person's infection attributes and
 every pair's transmission coin up front, which has the same law because no
-coin depends on the order in which infections arrive. It is independent of
-the closed forms in :mod:`sarbias.estimands`, which are checked against it.
+coin depends on the order in which infections arrive. It observes by the
+testing policy alone, whatever the design, and is independent of the
+closed forms in :mod:`sarbias.estimands`, which are checked against it.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ class CohortTruth:
 
 @dataclass
 class CohortObserved:
-    """What the database sees of each person; None where nothing reads it."""
+    """What the database holds of each person: fixed by the policy alone."""
 
     first_positive: np.ndarray       # inf where never positive
-    tested: Optional[np.ndarray]
-    reported_onset: Optional[np.ndarray]  # inf where none reported
+    tested: np.ndarray
+    reported_onset: Optional[np.ndarray]  # inf where unreported; None: no symptom tests
 
 
 @dataclass
@@ -240,19 +241,14 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
 
 
 def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
-                   design: StudyDesignFilter, rng: np.random.Generator,
-                   new: _Scratch) -> CohortObserved:
+                   rng: np.random.Generator, new: _Scratch) -> CohortObserved:
     """Apply the testing policy, as ``apply_policy`` does. Draws
     participation (below 1 only), then random schedule phases (one per
-    unit when shared, else one per person); keeps tested flags and
-    reported onsets only where ``design`` reads them. Arrays come from
-    ``new``."""
+    unit when shared, else one per person). Arrays come from ``new``."""
     acquisition = truth.acquisition
     shape = acquisition.shape
-    tested = None
-    if design.require_contact_tested:
-        tested = new("tested", shape, bool)
-        tested.fill(False)
+    tested = new("tested", shape, bool)
+    tested.fill(False)
     reported_onset = None
     if policy.kind is PolicyKind.NO_TESTING:
         return CohortObserved(np.full(shape, np.inf), tested, reported_onset)
@@ -273,12 +269,10 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
         np.less(t, positive_until, out=hit)
         first_positive = _inf_unless(np.logical_and(symptom_test, hit, out=hit),
                                      t, penalty)
-        if tested is not None:
-            tested |= symptom_test
-        if design.anchor is WindowAnchor.ONSET_TIME:
-            reported_onset = new("reported_onset", shape)
-            np.copyto(reported_onset, truth.onset)
-            _inf_unless(symptom_test, reported_onset, penalty)
+        tested |= symptom_test
+        reported_onset = new("reported_onset", shape)
+        np.copyto(reported_onset, truth.onset)
+        _inf_unless(symptom_test, reported_onset, penalty)
 
     if policy.kind in SCHEDULED_KINDS:
         k = policy.interval_days
@@ -298,9 +292,10 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
         np.ceil(slot, out=slot)
         last_slot /= k
         positive = np.less_equal(slot, last_slot, out=new("positive", shape, bool))
-        if tested is not None:
-            has_slots = last_slot >= 0.0
-            tested |= has_slots if participates is None else has_slots & participates
+        # A symptom test implies participation: mask the union at once.
+        tested |= np.greater_equal(last_slot, 0.0, out=new("has_slots", shape, bool))
+        if participates is not None:
+            tested &= participates
         slot *= k
         slot += phase
         positive &= np.less(slot, positive_until, out=hit)
@@ -381,7 +376,7 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
                           analysed)
 
 
-def _count(truth: CohortTruth, analysis: CohortAnalysis, vaccinated: bool,
+def _count(truth: CohortTruth, analysis: CohortAnalysis,
            new: _Scratch) -> CohortCounts:
     attributed, at_risk, analysed = (analysis.attributed, analysis.at_risk,
                                      analysis.analysed)
@@ -407,12 +402,12 @@ def _count(truth: CohortTruth, analysis: CohortAnalysis, vaccinated: bool,
             np.logical_xor(units, analysed, out=units)
     primary_sourced = _per_unit(truth.primary_sourced,
                                 new("primary_sourced", (n,), np.int64))
-    truth_arms = {not vaccinated: ArmCounts.ZERO,
-                  vaccinated: ArmCounts.from_units(primary_sourced,
-                                                   len(truth.vaccinated) - 1)}
+    truth_arms = {not primary: ArmCounts.ZERO,
+                  primary: ArmCounts.from_units(primary_sourced,
+                                                len(truth.vaccinated) - 1)}
     excluded = Counter(
-        {("no_index", vaccinated): int(np.count_nonzero(analysis.no_index)),
-         ("coprimary", vaccinated): int(np.count_nonzero(analysis.coprimary))})
+        {("no_index", primary): int(np.count_nonzero(analysis.no_index)),
+         ("coprimary", primary): int(np.count_nonzero(analysis.coprimary))})
     return CohortCounts(observed, truth_arms, excluded)
 
 
@@ -434,8 +429,8 @@ def run_cohort(cfg: "ScenarioConfig", units_per_arm: int,
         for start in range(0, units_per_arm, COHORT_CHUNK):
             n = min(COHORT_CHUNK, units_per_arm - start)
             truth = simulate_cohort(cfg.unit, vaccinated, n, rng, onsets, scratch)
-            obs = observe_cohort(truth, cfg.policy, cfg.design, rng, scratch)
+            obs = observe_cohort(truth, cfg.policy, rng, scratch)
             analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
-            counts = _count(truth, analysis, vaccinated, scratch)
+            counts = _count(truth, analysis, scratch)
             total = counts if total is None else total + counts
     return total

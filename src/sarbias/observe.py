@@ -112,28 +112,19 @@ class TestingPolicy:
         return cls(kind=PolicyKind.NO_TESTING)
 
     @classmethod
-    def symptom_prompted(cls, delay_days: float = 0.0,
-                         participation: float = 1.0,
-                         horizon_days: float = 60.0) -> "TestingPolicy":
-        return cls(kind=PolicyKind.SYMPTOM_PROMPTED, delay_days=delay_days,
-                   participation=participation, horizon_days=horizon_days)
+    def symptom_prompted(cls, **options) -> "TestingPolicy":
+        return cls(kind=PolicyKind.SYMPTOM_PROMPTED, **options)
 
     @classmethod
-    def scheduled(cls, interval_days: float, participation: float = 1.0,
-                  shared_phase: bool = False, fixed_phase: Optional[float] = None,
-                  horizon_days: float = 60.0) -> "TestingPolicy":
+    def scheduled(cls, interval_days: float, **options) -> "TestingPolicy":
         return cls(kind=PolicyKind.SCHEDULED, interval_days=interval_days,
-                   participation=participation, shared_phase=shared_phase,
-                   fixed_phase=fixed_phase, horizon_days=horizon_days)
+                   **options)
 
     @classmethod
-    def symptom_plus_scheduled(cls, interval_days: float, delay_days: float = 0.0,
-                               participation: float = 1.0,
-                               shared_phase: bool = False,
-                               horizon_days: float = 60.0) -> "TestingPolicy":
-        return cls(kind=PolicyKind.SYMPTOM_PLUS_SCHEDULED, delay_days=delay_days,
-                   interval_days=interval_days, participation=participation,
-                   shared_phase=shared_phase, horizon_days=horizon_days)
+    def symptom_plus_scheduled(cls, interval_days: float,
+                               **options) -> "TestingPolicy":
+        return cls(kind=PolicyKind.SYMPTOM_PLUS_SCHEDULED,
+                   interval_days=interval_days, **options)
 
 
 @dataclass(frozen=True, slots=True)

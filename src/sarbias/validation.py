@@ -18,7 +18,7 @@ import numpy as np
 from . import estimands
 from .harness import (ScenarioConfig, _parallel_map, scheduled_reference,
                       spawn_rng, symptom_reference)
-from .infer import StudyDesignFilter
+from .infer import EstimationError, StudyDesignFilter, VeRatio
 from .mc import COHORT_CHUNK, CohortCounts, run_cohort
 from .observe import TestingPolicy
 from .params import DurationModelParams, SymptomModelParams
@@ -103,17 +103,16 @@ def _zcheck(name: str, expected: float, observed: float, se: float,
 
 
 def check_piecewise_interval(d: DurationModelParams, k: float,
-                             cohort: CohortCounts) -> list[CheckResult]:
+                             mc: VeRatio) -> list[CheckResult]:
     """Observed-ratio oracle vs the piecewise closed form at one interval,
     plus the swapped-branch negative control at the same interval, from the
-    cohort of :func:`mc_infrequent_observed` at that interval.
+    observed ratio of :func:`mc_infrequent_observed` at that interval.
 
     The control fails only if the oracle sides with the swapped assignment
     against the primary one; merely lacking the replication to reject the
     control at this interval is reported, not failed. The suite separately
     requires an outright rejection at one interior interval or more.
     """
-    mc = cohort.observed_ratio()
     analytic = estimands.infrequent_observed_mu(k, d)
     swapped = (estimands.infrequent_observed_component_swapped(k, d.rho1, d.c, d.tau1)
                / estimands.infrequent_observed_component_swapped(k, d.rho0, d.c, d.tau0))
@@ -144,7 +143,8 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
     Each task is one named oracle call drawing in order from its own
     stream, run on the worker pool of :func:`harness._parallel_map`; each
     check reads its cohort by name, so the results, and the first error
-    raised, do not depend on the worker count."""
+    raised, do not depend on the worker count. An undefined estimate raises
+    ``EstimationError`` naming its task."""
     s, d = SymptomModelParams(), DurationModelParams()
     detection_cases = ((10.0, d.rho1), (10.0, d.rho0), (15.0, d.rho1))
     # name: (oracle, its arguments before the units, its stream key), in
@@ -167,9 +167,17 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     cohorts = dict(zip(tasks, _parallel_map(run, list(tasks.values()))))
 
+    def ratio(name, truth: bool = False) -> VeRatio:  # observed or true
+        try:
+            return (cohorts[name].true_ratio() if truth
+                    else cohorts[name].observed_ratio())
+        except EstimationError as exc:
+            label = name if isinstance(name, str) else f"{name[0]} k={name[1]:g}"
+            raise EstimationError(f"validate task {label}: {exc}") from None
+
     # Piecewise observed ratio across the testing-interval grid, each with
     # the swapped-branch negative control alongside: k -> (primary, control).
-    piecewise = {k: check_piecewise_interval(d, k, cohorts["piecewise", k])
+    piecewise = {k: check_piecewise_interval(d, k, ratio(("piecewise", k)))
                  for k in PIECEWISE_K_GRID}
     results = [check for pair in piecewise.values() for check in pair]
 
@@ -187,14 +195,14 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Tail independence: the observed ratio stops moving once the interval
     # exceeds the longest duration.
-    mc25, mc30 = (cohorts["tail", k].observed_ratio() for k in (25.0, 30.0))
+    mc25, mc30 = (ratio(("tail", k)) for k in (25.0, 30.0))
     results.append(_zcheck("tail independence, k=30 minus k=25", 0.0,
                            mc30.mu_ratio - mc25.mu_ratio,
                            math.hypot(mc25.se, mc30.se),
                            note="two oracle runs compared to each other"))
 
     # Daily testing anchor: at k = 1 the observed ratio is the target.
-    mc1 = cohorts["anchor"].observed_ratio()
+    mc1 = ratio("anchor")
     results.append(_zcheck("daily-testing anchor, k=1",
                            estimands.infrequent_target_mu(d), mc1.mu_ratio,
                            mc1.se))
@@ -219,8 +227,7 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Symptom-prompted pipeline: the naive estimate converges to 1 - nu
     # while the same cohort's true VE matches the target estimand.
-    cohort = cohorts["symptom"]
-    sp, truth = cohort.observed_ratio(), cohort.true_ratio()
+    sp, truth = ratio("symptom"), ratio("symptom", truth=True)
     results.append(_zcheck("symptom-prompted pipeline VE", 1.0 - s.nu,
                            sp.ve, sp.se))
     results.append(_zcheck(
@@ -229,8 +236,7 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
 
     # Fully observed regime: synchronized daily testing, naive analysis
     # matches the same cohort's truth.
-    cohort = cohorts["fully observed"]
-    naive, truth = cohort.observed_ratio(), cohort.true_ratio()
+    naive, truth = ratio("fully observed"), ratio("fully observed", truth=True)
     results.append(_zcheck("fully observed naive vs truth",
                            truth.ve, naive.ve, max(naive.se, 1e-12),
                            note="synchronized daily testing"))

@@ -348,8 +348,18 @@ class TestSweep:
         out = tmp_path / "fig1a.csv"
         rc = main(["sweep", "--figure", "1a", "--units", "5", "--out", str(out)])
         assert rc == 2
-        assert ("error: insufficient data: no units with at-risk contacts in "
-                "the vaccinated arm") in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: figure 1a row 40 (delta 0, target VE 0.8): insufficient "
+            "data: no units with at-risk contacts in the vaccinated arm\n")
+        assert not out.exists()
+
+    def test_undefined_estimate_names_its_row(self, tmp_path, capsys):
+        out = tmp_path / "fig1b.csv"
+        rc = main(["sweep", "--figure", "1b", "--units", "20", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: figure 1b row 15 (target VE 0.6, k 2): undefined VE: no "
+            "transmission in the unvaccinated arm\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -480,7 +490,8 @@ class TestValidate:
 
     def test_degenerate_oracle_reported(self, capsys):
         assert main(["validate", "--units", "5"]) == 2
-        assert "error: undefined VE" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: validate task piecewise k=3: undefined VE")
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_first_error_in_suite_order(self, workers, monkeypatch, capsys):
@@ -489,5 +500,14 @@ class TestValidate:
         assert main(["validate", "--units", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: undefined VE: no transmission in the unvaccinated arm\n")
+            "error: validate task piecewise k=3: undefined VE: no transmission "
+            "in the unvaccinated arm\n")
+        assert captured.out == ""
+
+    def test_undefined_estimate_names_its_task(self, capsys):
+        assert main(["validate", "--units", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: validate task tail k=30: undefined VE: no transmission "
+            "in the unvaccinated arm\n")
         assert captured.out == ""

@@ -19,12 +19,22 @@ from sarbias.mc import (COHORT_CHUNK, CohortTruth, _count, _Scratch,
                         analyze_cohort, observe_cohort, simulate_cohort)
 from sarbias.observe import SCHEDULED_KINDS, SYMPTOM_KINDS
 WINDOWS = [(-60.0, 60.0), (0.0, 60.0), (1.0, 7.0), (2.0, 14.0), (0.0, 4.0)]
+INDEX_RULES = ["earliest_positive", "true_primary"]
+
+
+@st.composite
+def study_designs(draw):
+    return StudyDesignFilter(
+        attribution_window=draw(st.sampled_from(WINDOWS)),
+        coprimary_exclusion_days=draw(st.sampled_from([None, 0.0, 2.0])),
+        require_contact_tested=draw(st.booleans()),
+        anchor=draw(st.sampled_from(list(WindowAnchor))))
 
 
 @st.composite
 def scenario_configs(draw, rng_free=False):
-    """Random configs over every field. ``rng_free`` configs make
-    ``apply_policy`` draw nothing: full participation, fixed phases."""
+    """Random configs over every field. ``rng_free`` configs make no
+    outcome depend on a draw: participation 1 or 0, fixed phases."""
     unit = UnitConfig(
         unit_size=draw(st.integers(2, 5)),
         transmission_mode=draw(st.sampled_from(list(TransmissionMode))),
@@ -44,17 +54,11 @@ def scenario_configs(draw, rng_free=False):
         kind=kind, interval_days=k if scheduled else None,
         delay_days=(draw(st.sampled_from([0.0, 1.5])) if kind in SYMPTOM_KINDS
                     else 0.0),
-        participation=1.0 if rng_free else draw(st.sampled_from([1.0, 0.7])),
+        participation=draw(st.sampled_from([1.0, 0.0] if rng_free else [1.0, 0.7])),
         shared_phase=scheduled and draw(st.booleans()), fixed_phase=fixed_phase,
         horizon_days=draw(st.sampled_from([60.0, 20.0, 7.5])))
-    design = StudyDesignFilter(
-        attribution_window=draw(st.sampled_from(WINDOWS)),
-        coprimary_exclusion_days=draw(st.sampled_from([None, 0.0, 2.0])),
-        require_contact_tested=draw(st.booleans()),
-        anchor=draw(st.sampled_from(list(WindowAnchor))))
-    return ScenarioConfig(unit=unit, policy=policy, design=design,
-                          index_rule=draw(st.sampled_from(
-                              ["earliest_positive", "true_primary"])))
+    return ScenarioConfig(unit=unit, policy=policy, design=draw(study_designs()),
+                          index_rule=draw(st.sampled_from(INDEX_RULES)))
 
 
 def cohort_truth(truths):
@@ -130,12 +134,11 @@ class TestUnitByUnit:
         truths, expected = run_pipeline(cfg, vaccinated, 25,
                                         np.random.default_rng(seed))
         truth = cohort_truth(truths)
-        # Observe with every optional output kept, to compare them too.
-        full = StudyDesignFilter(require_contact_tested=True,
-                                 anchor=WindowAnchor.ONSET_TIME)
         scratch = _Scratch()
-        obs = observe_cohort(truth, cfg.policy, full, np.random.default_rng(0),
+        obs = observe_cohort(truth, cfg.policy, np.random.default_rng(0),
                              scratch)
+        assert (obs.reported_onset is not None) == (
+            cfg.policy.kind in SYMPTOM_KINDS)
         for u, unit in enumerate(truths):
             ref = apply_policy(unit, cfg.policy, np.random.default_rng(0))
             assert [t if t is not None else np.inf
@@ -145,6 +148,8 @@ class TestUnitByUnit:
                 onsets = [ref.reported_onsets.get(pid, np.inf)
                           for pid in range(len(unit.vaccinated))]
                 assert onsets == obs.reported_onset[:, u].tolist()
+            else:
+                assert ref.reported_onsets == {}
         analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
         assert engine_records(analysis, obs.first_positive) == expected
 
@@ -167,14 +172,14 @@ class TestInvariants:
         for n in (200, 137):
             truth = simulate_cohort(cfg.unit, vaccinated, n, rng,
                                     cfg.policy.kind in SYMPTOM_KINDS, scratch)
-            obs = observe_cohort(truth, cfg.policy, cfg.design, rng, scratch)
+            obs = observe_cohort(truth, cfg.policy, rng, scratch)
             analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
             records = engine_records(analysis, obs.first_positive)
             check_invariants(records)
             assert not (truth.primary_sourced
                         & ~np.isfinite(truth.acquisition[1:])).any()
             # The pooled counts agree with the per-unit records.
-            counts = _count(truth, analysis, vaccinated, scratch)
+            counts = _count(truth, analysis, scratch)
             for reason in ("no_index", "coprimary"):
                 assert counts.excluded[(reason, vaccinated)] == sum(
                     r[2] == reason for r in records)
@@ -184,6 +189,47 @@ class TestInvariants:
                 assert counts.observed[arm] == ArmCounts.from_units(
                     [r[0] for r in mine], [r[1] for r in mine])
             assert counts.truth[vaccinated].n_units == n
+
+
+def _observed_chunk(cfg, vaccinated, seed, scratch):
+    """One chunk of 150 units simulated and observed from ``seed``."""
+    rng = np.random.default_rng(seed)
+    truth = simulate_cohort(cfg.unit, vaccinated, 150, rng,
+                            cfg.policy.kind in SYMPTOM_KINDS, scratch)
+    return truth, observe_cohort(truth, cfg.policy, rng, scratch)
+
+
+def _copy(obs):
+    return [None if a is None else a.copy()
+            for a in (obs.first_positive, obs.tested, obs.reported_onset)]
+
+
+class TestOneObservation:
+    """The observation depends on the policy alone: one observed chunk
+    analysed under two designs gives each design's counts of a chunk
+    drawn for it alone, and the analyses leave the observation as drawn."""
+
+    @given(cfg=scenario_configs(), other=study_designs(),
+           other_rule=st.sampled_from(INDEX_RULES), vaccinated=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_design_reads_one_observation(self, cfg, other, other_rule,
+                                                vaccinated, seed):
+        scratch = _Scratch()
+        truth, obs = _observed_chunk(cfg, vaccinated, seed, scratch)
+        drawn = _copy(obs)
+        analyses = [(cfg.design, cfg.index_rule), (other, other_rule)]
+        # Each analysis is counted before the next: they share scratch roles.
+        shared = [_count(truth, analyze_cohort(obs, design, rule, scratch),
+                         scratch) for design, rule in analyses]
+        for (design, rule), counts in zip(analyses, shared):
+            alone = _Scratch()
+            truth_alone, obs_alone = _observed_chunk(cfg, vaccinated, seed, alone)
+            assert counts == _count(
+                truth_alone, analyze_cohort(obs_alone, design, rule, alone), alone)
+        for before, after in zip(drawn, _copy(obs)):
+            assert (before is None) == (after is None)
+            if before is not None:
+                assert before.tobytes() == after.tobytes()
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40),

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from sarbias import (ScenarioConfig, harness, parse_config, run_cohort,
-                     run_scenario, run_validation_suite, validation)
+from sarbias import (ScenarioConfig, estimands, harness, parse_config,
+                     run_cohort, run_scenario, run_validation_suite,
+                     validation)
 from sarbias.harness import (_KEYS, CSV_COLUMNS, ConfigError, _analytic_columns,
                              _finite, _parallel_map, _workers, apply_axis,
                              fmt12, load_config, rows_to_csv, spawn_rng,
@@ -470,6 +471,34 @@ class TestAnalyticColumns:
         assert not perturbed & listed
         assert paths - perturbed - listed == set()
         assert (perturbed | listed) - paths == set()
+
+
+POLICIES = {PolicyKind.NO_TESTING: TestingPolicy.none(),
+            PolicyKind.SYMPTOM_PROMPTED: TestingPolicy.symptom_prompted(),
+            PolicyKind.SCHEDULED: TestingPolicy.scheduled(7.0),
+            PolicyKind.SYMPTOM_PLUS_SCHEDULED:
+                TestingPolicy.symptom_plus_scheduled(7.0)}
+TARGETS = {
+    TransmissionMode.PER_UNIT_BERNOULLI:
+        lambda unit: 1.0 - estimands.symptom_prompted_target_mu(unit.symptom),
+    TransmissionMode.PER_DAY_HAZARD:
+        lambda unit: 1.0 - estimands.infrequent_target_mu(unit.duration),
+}
+
+
+class TestTargetOfTheUnit:
+    """The target VE is a property of the unit alone: every policy kind
+    fills it, and the engine's true VE agrees with it."""
+
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("mode", list(TARGETS), ids=lambda m: m.value)
+    def test_target_filled_under_every_policy(self, mode, kind):
+        cfg = ScenarioConfig(unit=UnitConfig(transmission_mode=mode),
+                             policy=POLICIES[kind])
+        target = _analytic_columns(cfg)[0]
+        assert target == TARGETS[mode](cfg.unit)
+        truth = run_cohort(cfg, 200_000, spawn_rng(7)).true_ratio()
+        assert abs(truth.ve - target) <= 3 * truth.se
 
 
 class TestRngStreamPinned:

@@ -8,7 +8,10 @@ Each command runs once per tree, in a fresh interpreter with the tree's
 only the command's input files. Its output is its exit code, stdout,
 stderr and every file it leaves in that directory. The commands are
 ``simulate`` on the design and twin configs of both pipeline benchmark
-workloads at seeds 1-5, as ``bench/run.py`` writes them, ``validate
+workloads at seeds 1-5, as ``bench/run.py`` writes them, ``simulate`` at
+seed 1 and 2000 units per arm on a unit of each transmission mode the
+closed forms model (per-unit Bernoulli, per-day hazard) under each policy
+kind, analysed from the true primary, ``validate
 --units 1000000 --seed 1``, the three figure sweeps without and with Monte
 Carlo columns, the seven ``analytic`` forms at their defaults, and every
 script under ``demos/``.
@@ -37,6 +40,9 @@ if str(ROOT / "bench") not in sys.path:
 import run as bench  # noqa: E402  (bench/run.py: the benchmark's workloads)
 
 TIMEOUT_S = 600
+TRANSMISSION_MODES = ("per_unit_bernoulli", "per_day_hazard")
+POLICY_KINDS = ("no_testing", "symptom_prompted", "scheduled",
+                "symptom_plus_scheduled")
 ANALYTIC_FORMS = ("symptom-target-mu", "symptom-actual-mu", "invert-nu",
                   "infrequent-target-mu", "sampling-fraction",
                   "infrequent-observed-component", "infrequent-observed-mu")
@@ -54,6 +60,7 @@ class Command:
 
 def default_commands() -> list[Command]:
     cli = ("-m", "sarbias.cli")
+    simulate = cli + ("simulate", "--config", "scenario.cfg", "--out", "rows.csv")
     commands = []
     with tempfile.TemporaryDirectory() as workdir:
         for workload, spec in bench.PIPELINES.items():
@@ -62,10 +69,18 @@ def default_commands() -> list[Command]:
                 for row, path in zip(("design", "twin"), configs):
                     commands.append(Command(
                         f"simulate {workload.removeprefix('pipeline-')} {row} "
-                        f"seed {seed}",
-                        cli + ("simulate", "--config", "scenario.cfg",
-                               "--out", "rows.csv"),
+                        f"seed {seed}", simulate,
                         {"scenario.cfg": path.read_text(encoding="utf-8")}))
+    for mode in TRANSMISSION_MODES:
+        for kind in POLICY_KINDS:
+            interval = "policy.interval_days = 7\n" if "scheduled" in kind else ""
+            commands.append(Command(
+                f"simulate {mode} {kind}", simulate,
+                {"scenario.cfg": ("scenario.seed = 1\n"
+                                  "scenario.units_per_arm = 2000\n"
+                                  "scenario.index_rule = true_primary\n"
+                                  f"unit.transmission_mode = {mode}\n"
+                                  f"policy.kind = {kind}\n{interval}")}))
     commands.append(Command("validate --units 1000000 --seed 1",
                             cli + ("validate", "--units", "1000000",
                                    "--seed", "1")))
