@@ -19,21 +19,54 @@ from . import estimands, harness, validation
 from .params import DurationModelParams, SymptomModelParams
 
 
-# Each closed form of `analytic`, from the flags and the parameter bundles
-# built from them.
+# The flags of `analytic` and their defaults: the parameter bundles'
+# fields, then the bare arguments of the closed forms.
+_FLAGS = ({f.name: f.default
+           for f in fields(SymptomModelParams) + fields(DurationModelParams)}
+          | {"target_ve": 0.5, "k": 7.0, "rho_v": 8.0, "tau_v": 0.01})
+_DURATION = tuple(f.name for f in fields(DurationModelParams))
+
+
+def _bundle(cls, a):
+    """The parameter bundle ``cls`` from the flags, which it checks."""
+    return cls(**{f.name: getattr(a, f.name) for f in fields(cls)})
+
+
+# Each closed form of `analytic`: the flags it reads, and its value from
+# the flags. A form reads the symptom fields its closed form uses (the
+# bundle checks each field alone), but all of the duration bundle, whose
+# checks tie its fields together.
 _FORMS = {
-    "symptom-target-mu": lambda a, s, d: estimands.symptom_prompted_target_mu(s),
-    "symptom-actual-mu": lambda a, s, d: estimands.symptom_prompted_actual_mu(s),
-    "invert-nu": lambda a, s, d: estimands.invert_target_to_nu(
-        a.target_ve, s.lambda_symptom, s.delta, s.rho_symptom),
-    "infrequent-target-mu": lambda a, s, d: estimands.infrequent_target_mu(d),
-    "sampling-fraction": lambda a, s, d: estimands.sampling_fraction(
-        a.k, a.rho_v, d.c),
-    "infrequent-observed-component": lambda a, s, d:
-        estimands.infrequent_observed_component(a.k, a.rho_v, d.c, a.tau_v),
-    "infrequent-observed-mu":
-        lambda a, s, d: estimands.infrequent_observed_mu(a.k, d),
+    "symptom-target-mu": (
+        ("lambda_symptom", "delta", "nu", "rho_symptom"),
+        lambda a: estimands.symptom_prompted_target_mu(
+            _bundle(SymptomModelParams, a))),
+    "symptom-actual-mu": (
+        ("nu",), lambda a: estimands.symptom_prompted_actual_mu(
+            _bundle(SymptomModelParams, a))),
+    "invert-nu": (
+        ("target_ve", "lambda_symptom", "delta", "rho_symptom"),
+        lambda a: estimands.invert_target_to_nu(
+            a.target_ve, (s := _bundle(SymptomModelParams, a)).lambda_symptom,
+            s.delta, s.rho_symptom)),
+    "infrequent-target-mu": (
+        _DURATION, lambda a: estimands.infrequent_target_mu(
+            _bundle(DurationModelParams, a))),
+    "sampling-fraction": (
+        ("k", "rho_v", "c"),
+        lambda a: estimands.sampling_fraction(a.k, a.rho_v, a.c)),
+    "infrequent-observed-component": (
+        ("k", "rho_v", "c", "tau_v"),
+        lambda a: estimands.infrequent_observed_component(
+            a.k, a.rho_v, a.c, a.tau_v)),
+    "infrequent-observed-mu": (
+        ("k",) + _DURATION, lambda a: estimands.infrequent_observed_mu(
+            a.k, _bundle(DurationModelParams, a))),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,13 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analytic", help="evaluate a closed form")
     p_an.add_argument("--form", choices=tuple(_FORMS), required=True)
-    for f in fields(SymptomModelParams) + fields(DurationModelParams):
-        p_an.add_argument("--" + f.name.replace("_", "-"), type=float,
-                          default=f.default)
-    p_an.add_argument("--target-ve", type=float, default=0.5)
-    p_an.add_argument("--k", type=float, default=7.0)
-    p_an.add_argument("--rho-v", type=float, default=8.0)
-    p_an.add_argument("--tau-v", type=float, default=0.01)
+    for name in _FLAGS:  # absent unless given: see _run_analytic
+        p_an.add_argument(_flag(name), type=float, default=argparse.SUPPRESS)
 
     p_sim = sub.add_parser("simulate", help="run one scenario to CSV")
     p_sim.add_argument("--config", metavar="PATH", help="scenario config file")
@@ -74,9 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_analytic(args: argparse.Namespace) -> int:
-    s, d = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-            for cls in (SymptomModelParams, DurationModelParams))
-    print(harness.fmt12(_FORMS[args.form](args, s, d)))
+    """Refuse a flag the form does not read; default the others."""
+    reads, form = _FORMS[args.form]
+    given = {name: value for name, value in vars(args).items() if name in _FLAGS}
+    unread = [_flag(name) for name in _FLAGS if name in given and name not in reads]
+    if unread:
+        raise ValueError(f"--form {args.form} does not read {', '.join(unread)}")
+    print(harness.fmt12(form(argparse.Namespace(**(_FLAGS | given)))))
     return 0
 
 

@@ -122,15 +122,15 @@ class _Scratch:
         return array
 
 
-def _inf_unless(mask: np.ndarray, t: np.ndarray,
-                penalty: np.ndarray) -> np.ndarray:
-    """``t``, set in place to inf where ``mask`` is False, using
-    ``penalty`` (``t``'s shape) as scratch."""
+def _inf_unless(mask: np.ndarray, t: np.ndarray, new: _Scratch) -> np.ndarray:
+    """``t``, set in place to inf where ``mask`` (``t``'s shape) is False,
+    with scratch from ``new``."""
     # inf * (not mask) is NaN where mask is True and inf elsewhere, and
     # fmax ignores a NaN: a select without the per-element branch of
     # putmask, which mispredicts on random masks.
+    unless = np.logical_not(mask, out=new("unless", t.shape, bool))
     with np.errstate(invalid="ignore"):
-        np.multiply(~mask, np.inf, out=penalty)
+        penalty = np.multiply(unless, np.inf, out=new("penalty", t.shape))
     return np.fmax(t, penalty, out=t)
 
 
@@ -189,7 +189,8 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
             nu = _rows([s.nu if v else 1.0 for v in vax[:n_sources]])
             sick = symptomatic[:n_sources]
             p = np.multiply(sick, s.tau * nu, out=new("p", sick.shape))
-            p += np.multiply(~sick, s.tau * s.delta * nu,
+            healthy = np.logical_not(sick, out=new("healthy", sick.shape, bool))
+            p += np.multiply(healthy, s.tau * s.delta * nu,
                              out=new("p_healthy", sick.shape))
             p = p[:, None]
             np.less(delay, p, out=transmits)
@@ -204,26 +205,32 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
                             out=delay)
             delay /= _rows([d.daily_hazard(v) for v in vax[:n_sources]])[:, :, None]
             np.less(delay, source_duration, out=transmits)
-    penalty = new("penalty", (size, n))[1:]
     for i in range(n_sources):
-        _inf_unless(transmits[i], delay[i], penalty)
+        _inf_unless(transmits[i], delay[i], new)
     acquisition[0] = 0.0
     primary_sourced = transmits[0]
     if others:
         acquisition[1:] = delay[0]
         if unit.community_daily_hazard > 0.0:
-            community = rng.exponential(1.0 / unit.community_daily_hazard,
-                                        (size - 1, n))
-            _inf_unless(community < unit.followup_days, community, penalty)
+            # rng.exponential's draws, bit for bit: it scales the same ones.
+            community = rng.standard_exponential(out=new("community", (size - 1, n)))
+            community *= 1.0 / unit.community_daily_hazard
+            arrives = np.less(community, unit.followup_days,
+                              out=new("arrives", community.shape, bool))
+            _inf_unless(arrives, community, new)
             np.minimum(acquisition[1:], community, out=acquisition[1:])
         if unit.contact_to_contact:
             for i in range(1, size):
                 delay[i, i - 1] = np.inf  # no self-infection
+            via = new("via", (size - 1, n))  # infected through person i
             for _ in range(size - 2):
                 for i in range(1, size):
-                    np.minimum(acquisition[1:], acquisition[i] + delay[i],
+                    np.minimum(acquisition[1:],
+                               np.add(delay[i], acquisition[i], out=via),
                                out=acquisition[1:])
-        primary_sourced = primary_sourced & (acquisition[1:] == delay[0])
+        primary_sourced = np.equal(acquisition[1:], delay[0],
+                                   out=new("sourced", delay[0].shape, bool))
+        primary_sourced &= transmits[0]
 
     onset = None
     if onsets:
@@ -233,8 +240,8 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
         mu = math.log(unit.incubation_mean_days) - 0.5 * sd * sd
         onset = new("onset", (size, n))
         onset.fill(np.inf)
-        at = np.flatnonzero(sick)
-        onset.ravel()[at] = rng.lognormal(mu, sd, at.size)
+        # A mask assignment fills in C order: person by person, unit by unit.
+        onset[sick] = rng.lognormal(mu, sd, np.count_nonzero(sick))
         onset += acquisition  # inf stays inf where no onset was placed
     positive_until = np.add(acquisition, duration, out=duration)
     return CohortTruth(vax, acquisition, positive_until, onset, primary_sourced)
@@ -251,14 +258,16 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
     tested.fill(False)
     reported_onset = None
     if policy.kind is PolicyKind.NO_TESTING:
-        return CohortObserved(np.full(shape, np.inf), tested, reported_onset)
+        first_positive = new("never_positive", shape)
+        first_positive.fill(np.inf)
+        return CohortObserved(first_positive, tested, reported_onset)
     participates = None  # everyone
     if policy.participation < 1.0:
         participates = np.less(rng.random(out=new("uniform", shape)),
                                policy.participation,
                                out=new("participates", shape, bool))
     positive_until = truth.positive_until
-    penalty, hit = new("penalty", shape), new("hit", shape, bool)
+    hit = new("hit", shape, bool)
 
     if policy.kind in SYMPTOM_KINDS:
         t = np.add(truth.onset, policy.delay_days, out=new("symptom_time", shape))
@@ -268,11 +277,11 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
             symptom_test &= participates
         np.less(t, positive_until, out=hit)
         first_positive = _inf_unless(np.logical_and(symptom_test, hit, out=hit),
-                                     t, penalty)
+                                     t, new)
         tested |= symptom_test
         reported_onset = new("reported_onset", shape)
         np.copyto(reported_onset, truth.onset)
-        _inf_unless(symptom_test, reported_onset, penalty)
+        _inf_unless(symptom_test, reported_onset, new)
 
     if policy.kind in SCHEDULED_KINDS:
         k = policy.interval_days
@@ -301,7 +310,7 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
         positive &= np.less(slot, positive_until, out=hit)
         if participates is not None:
             positive &= participates
-        scheduled = _inf_unless(positive, slot, penalty)
+        scheduled = _inf_unless(positive, slot, new)
         first_positive = (scheduled if policy.kind is PolicyKind.SCHEDULED
                           else np.minimum(first_positive, scheduled,
                                           out=first_positive))
@@ -346,7 +355,7 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
                     coprimary |= np.less_equal(
                         gap, design.coprimary_exclusion_days, out=near)
         coprimary &= analysed
-        analysed &= ~coprimary
+        analysed &= np.logical_not(coprimary, out=new("not_coprimary", (n,), bool))
 
     events, anchor = first_positive, first
     if design.anchor is WindowAnchor.ONSET_TIME and obs.reported_onset is not None:

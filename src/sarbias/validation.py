@@ -149,17 +149,21 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
     detection_cases = ((10.0, d.rho1), (10.0, d.rho0), (15.0, d.rho1))
     # name: (oracle, its arguments before the units, its stream key), in
     # submission order; the oracles are looked up here, when the suite runs.
-    tasks = {("piecewise", k): (mc_infrequent_observed, (d, k), (10, i))
-             for i, k in enumerate(PIECEWISE_K_GRID)}
-    tasks |= {("tail", 25.0): (mc_infrequent_observed, (d, 25.0), (20,)),
+    # The two cohorts of four hold the largest chunk arrays: the symptom
+    # cohort, the longest task, goes first and the fully observed one after
+    # the seven piecewise cohorts, so two worker threads do not hold both
+    # at once (lower peak memory), and the short tasks fill the end.
+    tasks = {"symptom": (mc_symptom_prompted_ve, (s, d), (24,))}
+    tasks |= {("piecewise", k): (mc_infrequent_observed, (d, k), (10, i))
+              for i, k in enumerate(PIECEWISE_K_GRID)}
+    tasks |= {"fully observed": (mc_fully_observed_naive, (d, 1.0), (25,)),
+              ("tail", 25.0): (mc_infrequent_observed, (d, 25.0), (20,)),
               ("tail", 30.0): (mc_infrequent_observed, (d, 30.0), (26,)),
               "anchor": (mc_infrequent_observed, (d, 1.0), (21,)),
               "bridge": (mc_infrequent_observed, (d, 10.0), (22,))}
     tasks |= {("detection", k, rho): (mc_detection_fraction, (rho, d.c, k),
                                       (23, i))
               for i, (k, rho) in enumerate(detection_cases)}
-    tasks |= {"symptom": (mc_symptom_prompted_ve, (s, d), (24,)),
-              "fully observed": (mc_fully_observed_naive, (d, 1.0), (25,))}
 
     def run(task):
         oracle, args, key = task

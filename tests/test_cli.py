@@ -81,6 +81,28 @@ class TestAnalytic:
         assert capsys.readouterr() == ("", "error: tau_v must be in "
                                        f"[0, 1 / (rho_v + c)], got {float(tau_v)}\n")
 
+    @pytest.mark.parametrize("form, flags, unread", [
+        ("symptom-actual-mu", ["--rho0", "20", "--k", "3"], "--rho0, --k"),
+        ("symptom-actual-mu", ["--rho0", "3"], "--rho0"),
+        ("sampling-fraction", ["--tau0", "5"], "--tau0"),
+        ("symptom-target-mu", ["--tau", "0.3"], "--tau"),  # even at its default
+        ("invert-nu", ["--nu", "0.6"], "--nu"),
+        ("infrequent-target-mu", ["--k", "7", "--nu-daily", "0.5"], "--k"),
+        ("infrequent-observed-component", ["--rho0", "14"], "--rho0"),
+    ])
+    def test_flag_the_form_does_not_read_refused(self, form, flags, unread,
+                                                 capsys):
+        assert main(["analytic", "--form", form] + flags) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --form {form} does not read {unread}\n")
+
+    def test_bare_form_checks_only_its_flags(self, capsys):
+        # c = 10 leaves the default rho1 = 8 below c, which the duration
+        # bundle refuses; sampling-fraction never builds that bundle.
+        assert main(["analytic", "--form", "sampling-fraction", "--k", "12",
+                     "--rho-v", "20", "--c", "10"]) == 0
+        assert capsys.readouterr().out == "0.991666666667\n"
+
     def test_zero_rate_transmits_nothing(self, capsys):
         assert main(["analytic", "--form", "infrequent-observed-component",
                      "--tau-v", "0"]) == 0

@@ -2,9 +2,11 @@
 invariants both must keep over random configs."""
 
 import hashlib
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -309,3 +311,37 @@ class TestCohortStreamPinned:
                            for reason in ("no_index", "coprimary")])
                 digest.update(repr((i, arm, record)).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestChunkAllocation:
+    """After a call's first chunk, every engine step writes into the
+    arrays of its scratch: a second chunk allocates less, at its peak, than
+    one ``(unit_size, COHORT_CHUNK)`` float64 array."""
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(cfg, marks=pytest.mark.xfail(
+            strict=True, reason="the onset anchor's events come from "
+            "np.where: its allocation-free selects measured slower"))
+        if cfg.design.anchor is WindowAnchor.ONSET_TIME
+        and cfg.policy.kind in SYMPTOM_KINDS else cfg
+        for cfg in _pinned_configs() + [
+            ScenarioConfig(policy=TestingPolicy.none())]])
+    def test_second_chunk_allocates_no_chunk_array(self, cfg):
+        scratch, rng = _Scratch(), spawn_rng(7)
+        onsets = cfg.policy.kind in SYMPTOM_KINDS
+
+        def chunk():
+            truth = simulate_cohort(cfg.unit, True, COHORT_CHUNK, rng, onsets,
+                                    scratch)
+            obs = observe_cohort(truth, cfg.policy, rng, scratch)
+            _count(truth, analyze_cohort(obs, cfg.design, cfg.index_rule,
+                                         scratch), scratch)
+
+        chunk()
+        tracemalloc.start()
+        try:
+            chunk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.unit.unit_size * COHORT_CHUNK * 8

@@ -664,6 +664,24 @@ class TestWorkerPool:
         assert results[0] == results[1] == results[2]
         assert len(results[0]) == 25
 
+    def test_validation_suite_same_in_any_submission_order(self, monkeypatch):
+        default = run_validation_suite(units_per_arm=20_000)
+        submitted = []
+
+        def reversed_map(fn, args):  # last task first, results in task order
+            submitted.extend(args)
+            return [fn(a) for a in reversed(args)][::-1]
+
+        monkeypatch.setattr(validation, "_parallel_map", reversed_map)
+        assert run_validation_suite(units_per_arm=20_000) == default
+        # The two cohorts of four run apart: the symptom cohort first, the
+        # fully observed one after every piecewise cohort.
+        oracles = [oracle.__name__ for oracle, _, _ in submitted]
+        piecewise = [i for i, (_, _, key) in enumerate(submitted) if key[0] == 10]
+        assert oracles[0] == "mc_symptom_prompted_ve"
+        assert len(piecewise) == len(validation.PIECEWISE_K_GRID)
+        assert oracles.index("mc_fully_observed_naive") > max(piecewise)
+
     def test_no_generator_reaches_two_oracle_calls(self, monkeypatch):
         # Wrapped as the benchmark's tracer wraps them; the generators
         # themselves are kept, so a freed one's id cannot be reused.
