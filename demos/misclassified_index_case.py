@@ -50,8 +50,8 @@ rng = np.random.default_rng(1)
 cfg = UnitConfig(symptom=SymptomModelParams(tau=0.5))
 policy = TestingPolicy.symptom_prompted()
 n, misclassified, detected = 20_000, 0, 0
-for _ in range(n):
-    unit = simulate_unit(cfg, rng)
+for i in range(n):  # the two arms in turn
+    unit = simulate_unit(cfg, i % 2 == 0, rng)
     index = identify_index(apply_policy(unit, policy, rng))
     if index is not None:
         detected += 1

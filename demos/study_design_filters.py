@@ -50,10 +50,10 @@ design = StudyDesignFilter(attribution_window=(0.0, 60.0))
 for hazard in (0.0, 0.005, 0.02):
     rng = np.random.default_rng(11)
     analyses = []
-    for arm in (1.0, 0.0):
-        cfg = UnitConfig(p_primary_vaccinated=arm, community_daily_hazard=hazard)
+    cfg = UnitConfig(community_daily_hazard=hazard)
+    for arm in (True, False):
         for _ in range(6000):
-            truth = simulate_unit(cfg, rng)
+            truth = simulate_unit(cfg, arm, rng)
             obs = apply_policy(truth, policy, rng)
             analyses.append(analyze_unit(obs, design, index_id=0))
     est = estimate_ve_sar(analyses)

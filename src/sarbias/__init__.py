@@ -21,7 +21,7 @@ from .mc import run_cohort
 from .observe import ObservedUnit, PolicyKind, TestingPolicy, TestRecord, apply_policy
 from .params import DurationModelParams, ParameterError, SymptomModelParams
 from .simcore import (Infection, SourceKind, TransmissionMode, UnitConfig,
-                      UnitTruth, sample_primary, simulate_unit)
+                      UnitTruth, simulate_unit)
 from .validation import CheckResult, run_validation_suite
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "infrequent_observed_component", "infrequent_observed_mu",
     "infrequent_target_mu", "invert_target_to_nu", "load_config",
     "parse_config", "run_cohort", "run_scenario",
-    "run_validation_suite", "sample_primary", "sampling_fraction",
+    "run_validation_suite", "sampling_fraction",
     "simulate_unit", "sweep_figure", "symptom_prompted_actual_mu",
     "symptom_prompted_target_mu", "true_ve_sar", "write_csv",
 ]

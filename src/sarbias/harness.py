@@ -381,13 +381,12 @@ def _run_arm(cfg: ScenarioConfig, row_index: int,
     """The analyses of one arm's units. Chunk ``j`` of :data:`CHUNK_UNITS`
     units draws from the stream of ``(seed, row, arm, j)``, where the
     vaccinated arm is 0 and the unvaccinated arm 1."""
-    unit_cfg = replace(cfg.unit, p_primary_vaccinated=float(vaccinated))
     index_id = 0 if cfg.index_rule == "true_primary" else None
     analyses = []
     for chunk, start in enumerate(range(0, cfg.units_per_arm, CHUNK_UNITS)):
         rng = spawn_rng(cfg.seed, row_index, 0 if vaccinated else 1, chunk)
         for _ in range(min(CHUNK_UNITS, cfg.units_per_arm - start)):
-            truth = simulate_unit(unit_cfg, rng)
+            truth = simulate_unit(cfg.unit, vaccinated, rng)
             obs = apply_policy(truth, cfg.policy, rng)
             analyses.append(analyze_unit(obs, cfg.design, index_id=index_id))
     return analyses

@@ -254,10 +254,11 @@ class ArmCounts:
             n = (a.size if n_units is None else n_units) if m else 0
             return cls(n, n * m, total, int(np.dot(a, a)), total * m, n * m * m)
         m = np.broadcast_to(np.asarray(at_risk, dtype=np.int64), a.shape)
+        # Dot products: exact in int64, and no array per product.
         return cls(n_units=int(np.count_nonzero(m)), at_risk=int(m.sum()),
-                   attributed=int(a.sum()), attributed_sq=int((a * a).sum()),
-                   attributed_at_risk=int((a * m).sum()),
-                   at_risk_sq=int((m * m).sum()))
+                   attributed=int(a.sum()), attributed_sq=int(np.dot(a, a)),
+                   attributed_at_risk=int(np.dot(a, m)),
+                   at_risk_sq=int(np.dot(m, m)))
 
     def __add__(self, other: "ArmCounts") -> "ArmCounts":
         """Counts of the two sets of units pooled."""

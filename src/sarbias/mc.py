@@ -159,18 +159,17 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
     ``unit_size - 2`` more times. Arrays come from ``new``.
     """
     size, mode = unit.unit_size, unit.transmission_mode
-    s, d = unit.symptom, unit.duration
-    vax = np.full(size, unit.contacts_vaccinated)
-    vax[0] = vaccinated
+    status = (vaccinated,) + (unit.contacts_vaccinated,) * (size - 1)
+    p_symptomatic, low, span = zip(*(unit._infection_constants[v]
+                                     for v in status))
     duration = new("duration", (size, n))  # first holds the symptom coins
     symptomatic = None
     if mode is TransmissionMode.PER_UNIT_BERNOULLI or onsets:
-        symptomatic = np.less(rng.random(out=duration),
-                              _rows([s.symptomatic_probability(v) for v in vax]),
+        symptomatic = np.less(rng.random(out=duration), _rows(p_symptomatic),
                               out=new("symptomatic", (size, n), bool))
     rng.random(out=duration)
-    duration *= 2.0 * d.c
-    duration += _rows([d.mean_duration(v) - d.c for v in vax])
+    duration *= _rows(span)
+    duration += _rows(low)
 
     # delay[i, j - 1]: from source i's infection to contact j's; inf where
     # the pair does not transmit. Infected by the primary alone, contacts
@@ -182,15 +181,18 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
                        else acquisition[None, 1:])
     source_duration = duration[:n_sources, None, :]
     transmits = new("transmits", delay.shape, bool)
+    sources = status[:n_sources]
     with np.errstate(divide="ignore", invalid="ignore"):  # zero p or hazard
         if mode is TransmissionMode.PER_UNIT_BERNOULLI:
-            # tau * (1 or delta) * nu per source, selected by adding a
-            # product with 0, which is exact, instead of branching.
-            nu = _rows([s.nu if v else 1.0 for v in vax[:n_sources]])
+            # Each source's probability when symptomatic and when not, times
+            # 0/1 masks and summed: a select by exact arithmetic, no branch.
+            transmission = unit.symptom.per_contact_transmission
             sick = symptomatic[:n_sources]
-            p = np.multiply(sick, s.tau * nu, out=new("p", sick.shape))
+            p = np.multiply(sick, _rows([transmission(v, True) for v in sources]),
+                            out=new("p", sick.shape))
             healthy = np.logical_not(sick, out=new("healthy", sick.shape, bool))
-            p += np.multiply(healthy, s.tau * s.delta * nu,
+            p += np.multiply(healthy,
+                             _rows([transmission(v, False) for v in sources]),
                              out=new("p_healthy", sick.shape))
             p = p[:, None]
             np.less(delay, p, out=transmits)
@@ -203,7 +205,8 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
             if mode is TransmissionMode.PER_DAY_HAZARD_EXACT:
                 np.negative(np.log1p(np.negative(delay, out=delay), out=delay),
                             out=delay)
-            delay /= _rows([d.daily_hazard(v) for v in vax[:n_sources]])[:, :, None]
+            delay /= _rows([unit.duration.daily_hazard(v)
+                            for v in sources])[:, :, None]
             np.less(delay, source_duration, out=transmits)
     for i in range(n_sources):
         _inf_unless(transmits[i], delay[i], new)
@@ -236,15 +239,15 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
     if onsets:
         sick = np.less(acquisition, np.inf, out=new("sick", (size, n), bool))
         sick &= symptomatic
-        sd = unit.incubation_log_sd
-        mu = math.log(unit.incubation_mean_days) - 0.5 * sd * sd
         onset = new("onset", (size, n))
         onset.fill(np.inf)
         # A mask assignment fills in C order: person by person, unit by unit.
-        onset[sick] = rng.lognormal(mu, sd, np.count_nonzero(sick))
+        onset[sick] = rng.lognormal(unit._incubation_log_mean,
+                                    unit.incubation_log_sd, np.count_nonzero(sick))
         onset += acquisition  # inf stays inf where no onset was placed
     positive_until = np.add(acquisition, duration, out=duration)
-    return CohortTruth(vax, acquisition, positive_until, onset, primary_sourced)
+    return CohortTruth(np.array(status), acquisition, positive_until, onset,
+                       primary_sourced)
 
 
 def observe_cohort(truth: CohortTruth, policy: TestingPolicy,

@@ -69,6 +69,9 @@ class Infection(NamedTuple):
 class UnitConfig:
     """Configuration for one transmission unit draw.
 
+    The primary's vaccination status is not part of it: it is the arm,
+    an argument of :func:`simulate_unit` and of the cohort engine.
+
     ``community_daily_hazard`` should stay small relative to the
     within-unit per-contact probabilities in realistic scenarios (community
     incidence over a study window is far below household attack rates);
@@ -76,7 +79,6 @@ class UnitConfig:
     """
 
     unit_size: int = 4
-    p_primary_vaccinated: float = 0.5
     contacts_vaccinated: bool = False
     symptom: SymptomModelParams = field(default_factory=SymptomModelParams)
     duration: DurationModelParams = field(default_factory=DurationModelParams)
@@ -90,9 +92,6 @@ class UnitConfig:
     def __post_init__(self) -> None:
         if self.unit_size < 2:
             raise ParameterError(f"unit_size must be >= 2, got {self.unit_size}")
-        if not 0.0 <= self.p_primary_vaccinated <= 1.0:
-            raise ParameterError("p_primary_vaccinated must be in [0, 1], "
-                                 f"got {self.p_primary_vaccinated}")
         if not 0.0 < self.incubation_mean_days < math.inf:
             raise ParameterError("incubation_mean_days must be finite and > 0, "
                                  f"got {self.incubation_mean_days}")
@@ -110,7 +109,8 @@ class UnitConfig:
     def _infection_constants(self) -> tuple[tuple[float, float, float], ...]:
         """Per vaccination status (index 0 unvaccinated, 1 vaccinated): the
         symptomatic probability, the shortest positivity duration, and the
-        duration range as numpy's ``uniform`` computes it from the two ends."""
+        duration range as numpy's ``uniform`` computes it from the two ends.
+        Both this module and the cohort engine read them from here."""
         s, d = self.symptom, self.duration
         constants = []
         for vaccinated in (False, True):
@@ -119,20 +119,6 @@ class UnitConfig:
             constants.append((s.symptomatic_probability(vaccinated), low,
                               high - low))
         return tuple(constants)
-
-    @cached_property
-    def _contact_probabilities(self) -> tuple[tuple[float, float], ...]:
-        """Per-contact transmission probability of a source under Bernoulli
-        transmission, indexed by its (vaccinated, symptomatic)."""
-        return tuple(tuple(self.symptom.per_contact_transmission(v, sick)
-                           for sick in (False, True)) for v in (False, True))
-
-    @cached_property
-    def _daily_hazards(self) -> tuple[float, float]:
-        """Daily transmission hazard of a source under the hazard modes,
-        indexed by its vaccination status."""
-        return (self.duration.daily_hazard(False),
-                self.duration.daily_hazard(True))
 
     @cached_property
     def _incubation_log_mean(self) -> float:
@@ -185,33 +171,26 @@ def _make_infection(cfg: UnitConfig, rng: np.random.Generator, person_id: int,
                      symptomatic, onset, duration)
 
 
-def sample_primary(cfg: UnitConfig, rng: np.random.Generator) -> tuple[bool, Infection]:
-    """Draw the unit's primary case, person 0: whether it is vaccinated,
-    and its infection (symptoms, duration, onset).
+def simulate_unit(cfg: UnitConfig, primary_vaccinated: bool,
+                  rng: np.random.Generator) -> UnitTruth:
+    """Simulate one transmission unit, whose primary case (person 0) has
+    the given vaccination status, to a full :class:`UnitTruth`.
 
     The primary acquires infection at time 0, which anchors the unit's
-    clock. Symptom probability is ``rho_symptom`` for unvaccinated and
-    ``lambda_symptom * rho_symptom`` for vaccinated primaries.
-    """
-    vax_coin, coin, u = rng.random(3).tolist()
-    vaccinated = vax_coin < cfg.p_primary_vaccinated
-    infection = _make_infection(cfg, rng, 0, vaccinated, 0.0,
-                                SourceKind.PRIMARY, None, coin, u)
-    return vaccinated, infection
-
-
-def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
-    """Simulate one transmission unit to a full :class:`UnitTruth`.
-
-    Candidate infection events are resolved in time order; a person is
-    infected at most once, by whichever candidate arrives first. Infected
-    contacts transmit onward only when ``contact_to_contact`` is set.
-    Community acquisitions arrive per contact at the configured daily
+    clock. Candidate infection events are resolved in time order; a person
+    is infected at most once, by whichever candidate arrives first.
+    Infected contacts transmit onward only when ``contact_to_contact`` is
+    set. Community acquisitions arrive per contact at the configured daily
     hazard within ``followup_days``.
     """
-    primary_vaccinated, primary_infection = sample_primary(cfg, rng)
     vaccinated = ((primary_vaccinated,)
                   + (cfg.contacts_vaccinated,) * (cfg.unit_size - 1))
+    # Three doubles: an unused one, then the symptom coin and the duration
+    # uniform. The unused double holds every later draw of a seed in place,
+    # and with it every pinned digest and CSV byte.
+    _, coin, u = rng.random(3).tolist()
+    primary_infection = _make_infection(cfg, rng, 0, primary_vaccinated, 0.0,
+                                        SourceKind.PRIMARY, None, coin, u)
 
     infections: dict[int, Infection] = {0: primary_infection}
     # Heap entries: (time, sequence, target_id, source_kind, source_id).
@@ -225,9 +204,9 @@ def simulate_unit(cfg: UnitConfig, rng: np.random.Generator) -> UnitTruth:
         src_vax = vaccinated[source.person_id]
         duration = source.duration_days
         if mode is TransmissionMode.PER_UNIT_BERNOULLI:
-            p = cfg._contact_probabilities[src_vax][source.symptomatic]
+            p = cfg.symptom.per_contact_transmission(src_vax, source.symptomatic)
         else:
-            hazard = cfg._daily_hazards[src_vax]
+            hazard = cfg.duration.daily_hazard(src_vax)
             p = (min(duration * hazard, 1.0)
                  if mode is TransmissionMode.PER_DAY_HAZARD
                  else 1.0 - math.exp(-duration * hazard))

@@ -3,7 +3,7 @@ invariants both must keep over random configs."""
 
 import hashlib
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from sarbias import (DurationModelParams, PolicyKind, ScenarioConfig,
                      StudyDesignFilter, SymptomModelParams, TestingPolicy,
                      TransmissionMode, UnitConfig, WindowAnchor, analyze_unit,
                      apply_policy, run_cohort, simulate_unit)
-from sarbias.harness import (scheduled_reference, spawn_rng,
+from sarbias.harness import (_assign, run_scenario, scheduled_reference,
+                             spawn_rng,
                              symptom_reference)
 from sarbias.infer import ArmCounts
 from sarbias.mc import (COHORT_CHUNK, CohortTruth, _count, _Scratch,
@@ -117,11 +118,10 @@ def check_invariants(records):
 def run_pipeline(cfg, vaccinated, n, rng):
     """Units through simulate_unit, apply_policy and analyze_unit, as
     run_scenario runs them; returns the truths and per-unit records."""
-    unit_cfg = replace(cfg.unit, p_primary_vaccinated=float(vaccinated))
     index_id = 0 if cfg.index_rule == "true_primary" else None
     truths, records = [], []
     for _ in range(n):
-        truth = simulate_unit(unit_cfg, rng)
+        truth = simulate_unit(cfg.unit, vaccinated, rng)
         obs = apply_policy(truth, cfg.policy, rng)
         truths.append(truth)
         records.append(pipeline_record(
@@ -154,6 +154,107 @@ class TestUnitByUnit:
                 assert ref.reported_onsets == {}
         analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
         assert engine_records(analysis, obs.first_positive) == expected
+
+
+# A base config on which each config field below is live: symptom tests
+# report onsets and scheduled tests from random phases find the rest, some
+# persons never test, community arrivals reach past a shorter follow-up,
+# and the window is narrow enough that its anchor moves what it holds.
+LIVE_BASE = ScenarioConfig(
+    unit=UnitConfig(community_daily_hazard=0.02),
+    policy=TestingPolicy.symptom_plus_scheduled(7.0, participation=0.7),
+    design=StudyDesignFilter(attribution_window=(0.0, 14.0)))
+# The daily hazard is read only by the hazard modes.
+HAZARD_BASE = _assign(LIVE_BASE, {"unit.transmission_mode":
+                                  TransmissionMode.PER_DAY_HAZARD})
+# (config field path, base config, a value that moves the outcome)
+PERTURBATIONS = [
+    ("index_rule", LIVE_BASE, "true_primary"),
+    ("unit.unit_size", LIVE_BASE, 3),
+    ("unit.contacts_vaccinated", LIVE_BASE, True),
+    ("unit.symptom.lambda_symptom", LIVE_BASE, 1.0),
+    ("unit.symptom.delta", LIVE_BASE, 1.0),
+    ("unit.symptom.nu", LIVE_BASE, 1.0),
+    ("unit.symptom.rho_symptom", LIVE_BASE, 0.8),
+    ("unit.symptom.tau", LIVE_BASE, 0.6),
+    ("unit.duration.rho0", LIVE_BASE, 10.0),
+    ("unit.duration.rho1", LIVE_BASE, 12.0),
+    ("unit.duration.c", LIVE_BASE, 4.0),
+    ("unit.duration.nu_daily", HAZARD_BASE, 0.2),
+    ("unit.duration.tau0", HAZARD_BASE, 0.03),
+    ("unit.incubation_mean_days", LIVE_BASE, 3.0),
+    ("unit.incubation_log_sd", LIVE_BASE, 1.0),
+    ("unit.community_daily_hazard", LIVE_BASE, 0.05),
+    ("unit.contact_to_contact", LIVE_BASE, True),
+    ("unit.transmission_mode", LIVE_BASE, TransmissionMode.PER_DAY_HAZARD),
+    ("unit.followup_days", LIVE_BASE, 10.0),
+    ("policy.kind", LIVE_BASE, PolicyKind.SCHEDULED),
+    ("policy.delay_days", LIVE_BASE, 2.0),
+    ("policy.interval_days", LIVE_BASE, 3.0),
+    ("policy.participation", LIVE_BASE, 1.0),
+    ("policy.shared_phase", LIVE_BASE, True),
+    ("policy.fixed_phase", LIVE_BASE, 0.0),
+    ("policy.horizon_days", LIVE_BASE, 20.0),
+    ("design.attribution_window", LIVE_BASE, (2.0, 10.0)),
+    ("design.coprimary_exclusion_days", LIVE_BASE, 1.0),
+    ("design.require_contact_tested", LIVE_BASE, True),
+    ("design.anchor", LIVE_BASE, WindowAnchor.ONSET_TIME),
+]
+# Fields that replicate a run rather than configure its model: run_cohort
+# takes them as its arguments, units per arm and a stream for the seed.
+REPLICATION = {"scenario_id", "units_per_arm", "seed"}
+REFUSED = {"sweep_axis", "sweep_grid"}  # run_cohort answers for the base
+FIELD_UNITS, FIELD_SEED = 400, 5
+
+
+def _config_paths(obj, prefix=""):
+    """Dotted path of every field of ``obj``, nested bundles by field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _config_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def _both_paths(cfg):
+    """run_cohort's counts and the Monte Carlo columns of run_scenario's
+    row, at one small unit count and seed."""
+    counts = run_cohort(cfg, FIELD_UNITS, spawn_rng(FIELD_SEED))
+    row, = run_scenario(replace(cfg, units_per_arm=FIELD_UNITS,
+                                seed=FIELD_SEED))
+    return counts, repr((row.actual_ve_mc, row.mc_se, row.n_excluded_no_index,
+                         row.n_excluded_coprimary))
+
+
+class TestNoFieldIgnored:
+    """No path silently ignores a config field: each field moves both
+    paths' outcomes where it is live, replicates a run, or is refused."""
+
+    def test_every_field_classified(self):
+        perturbed = [path for path, _, _ in PERTURBATIONS]
+        assert len(set(perturbed)) == len(perturbed)
+        classified = set(perturbed) | REPLICATION | REFUSED
+        assert len(classified) == len(perturbed) + len(REPLICATION | REFUSED)
+        assert set(_config_paths(ScenarioConfig())) == classified
+
+    @pytest.mark.parametrize("path, base, value", PERTURBATIONS,
+                             ids=[path for path, _, _ in PERTURBATIONS])
+    def test_field_moves_both_paths(self, path, base, value):
+        counts, row = _both_paths(base)
+        changed_counts, changed_row = _both_paths(_assign(base, {path: value}))
+        assert changed_counts != counts
+        assert changed_row != row
+
+    def test_replication_fields_are_arguments(self):
+        cfg = replace(LIVE_BASE, scenario_id="other", units_per_arm=7, seed=9)
+        assert (run_cohort(cfg, FIELD_UNITS, spawn_rng(FIELD_SEED))
+                == run_cohort(LIVE_BASE, FIELD_UNITS, spawn_rng(FIELD_SEED)))
+
+    def test_sweep_refused(self):
+        cfg = replace(LIVE_BASE, sweep_axis="symptom.nu", sweep_grid=(0.5,))
+        with pytest.raises(ValueError, match="sweep_axis"):
+            run_cohort(cfg, FIELD_UNITS, spawn_rng(FIELD_SEED))
 
 
 class TestInvariants:
@@ -328,20 +429,36 @@ class TestChunkAllocation:
             ScenarioConfig(policy=TestingPolicy.none())]])
     def test_second_chunk_allocates_no_chunk_array(self, cfg):
         scratch, rng = _Scratch(), spawn_rng(7)
-        onsets = cfg.policy.kind in SYMPTOM_KINDS
-
-        def chunk():
-            truth = simulate_cohort(cfg.unit, True, COHORT_CHUNK, rng, onsets,
-                                    scratch)
-            obs = observe_cohort(truth, cfg.policy, rng, scratch)
-            _count(truth, analyze_cohort(obs, cfg.design, cfg.index_rule,
-                                         scratch), scratch)
-
-        chunk()
-        tracemalloc.start()
-        try:
-            chunk()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _count(*_analysed_chunk(cfg, rng, scratch), scratch)
+        peak = _peak_bytes(
+            lambda: _count(*_analysed_chunk(cfg, rng, scratch), scratch))
         assert peak < cfg.unit.unit_size * COHORT_CHUNK * 8
+
+    @pytest.mark.parametrize("cfg", _pinned_configs())
+    def test_count_allocates_under_128_kib(self, cfg):
+        # Counting reads the chunk's per-unit arrays; at 2^15 units one
+        # int64 copy of such an array is 256 KiB.
+        scratch, rng = _Scratch(), spawn_rng(7)
+        _count(*_analysed_chunk(cfg, rng, scratch), scratch)
+        truth, analysis = _analysed_chunk(cfg, rng, scratch)
+        assert _peak_bytes(lambda: _count(truth, analysis, scratch)) < (
+            128 * 1024)
+
+
+def _analysed_chunk(cfg, rng, scratch):
+    """The truth and analysis of one vaccinated-arm chunk of
+    :data:`COHORT_CHUNK` units, in ``scratch``."""
+    truth = simulate_cohort(cfg.unit, True, COHORT_CHUNK, rng,
+                            cfg.policy.kind in SYMPTOM_KINDS, scratch)
+    obs = observe_cohort(truth, cfg.policy, rng, scratch)
+    return truth, analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)
+
+
+def _peak_bytes(call):
+    """Peak bytes that tracemalloc sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -423,9 +423,8 @@ ANALYSIS_BY_KIND = {
 ROW_PARAMETERS = {"unit.symptom", "unit.duration", "policy.kind",
                   "policy.interval_days"}
 NOT_READ = {"scenario_id", "units_per_arm", "seed", "sweep_axis",
-            "sweep_grid", "unit.unit_size", "unit.p_primary_vaccinated",
-            "unit.incubation_mean_days", "unit.incubation_log_sd",
-            "unit.followup_days"}
+            "sweep_grid", "unit.unit_size", "unit.incubation_mean_days",
+            "unit.incubation_log_sd", "unit.followup_days"}
 
 
 class TestAnalyticColumns:

@@ -168,8 +168,8 @@ class TestAnalyzeUnit:
         cfg = UnitConfig(symptom=SymptomModelParams(tau=0.5),
                          community_daily_hazard=0.02)
         policy = TestingPolicy.symptom_prompted()
-        for _ in range(150):
-            obs = apply_policy(simulate_unit(cfg, rng), policy, rng)
+        for i in range(150):
+            obs = apply_policy(simulate_unit(cfg, i % 2 == 0, rng), policy, rng)
             previous = -1
             for width in (2.0, 6.0, 14.0, 30.0, 60.0):
                 design = StudyDesignFilter(attribution_window=(-width, width))
@@ -185,8 +185,8 @@ class TestAnalyzeUnit:
         cfg = UnitConfig(symptom=SymptomModelParams(tau=0.7),
                          contact_to_contact=True, community_daily_hazard=0.03)
         policy = TestingPolicy.symptom_plus_scheduled(interval_days=7.0)
-        for _ in range(150):
-            obs = apply_policy(simulate_unit(cfg, rng), policy, rng)
+        for i in range(150):
+            obs = apply_policy(simulate_unit(cfg, i % 2 == 0, rng), policy, rng)
             for design in (StudyDesignFilter.maximal(), StudyDesignFilter.harris(),
                            StudyDesignFilter.eyre()):
                 result = analyze_unit(obs, design)
@@ -345,11 +345,10 @@ class TestCommunityContamination:
         def run(hazard, seed):
             rng = np.random.default_rng(seed)
             out = []
-            for arm in (1.0, 0.0):
-                cfg = UnitConfig(p_primary_vaccinated=arm,
-                                 community_daily_hazard=hazard)
+            cfg = UnitConfig(community_daily_hazard=hazard)
+            for arm in (True, False):
                 for _ in range(4000):
-                    obs = apply_policy(simulate_unit(cfg, rng), policy, rng)
+                    obs = apply_policy(simulate_unit(cfg, arm, rng), policy, rng)
                     out.append(analyze_unit(obs, design,
                                             index_id=0))
             return estimate_ve_sar(out)

@@ -40,10 +40,9 @@ def object_pipeline_reference(unit_cfg, policy, design, n_per_arm, seed):
     """Run the object pipeline with the prospective (true-primary) anchor."""
     rng = np.random.default_rng(seed)
     analyses = []
-    for arm in (1.0, 0.0):
-        cfg = replace(unit_cfg, p_primary_vaccinated=arm)
+    for arm in (True, False):
         for _ in range(n_per_arm):
-            truth = simulate_unit(cfg, rng)
+            truth = simulate_unit(unit_cfg, arm, rng)
             obs = apply_policy(truth, policy, rng)
             analyses.append(analyze_unit(obs, design, index_id=0))
     return estimate_ve_sar(analyses)

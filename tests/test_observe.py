@@ -157,14 +157,12 @@ class TestScheduledTesting:
 
     def test_detection_fraction_matches_sampling_fraction(self):
         # Random durations from the unvaccinated arm, interval 10 days.
-        cfg = UnitConfig(unit_size=2, p_primary_vaccinated=0.0,
-                         symptom=SymptomModelParams(nu=0.0),
-                         )
+        cfg = UnitConfig(unit_size=2, symptom=SymptomModelParams(nu=0.0))
         rng = np.random.default_rng(4)
         policy = TestingPolicy.scheduled(10.0)
         n, hits = 20_000, 0
         for _ in range(n):
-            truth = simulate_unit(cfg, rng)
+            truth = simulate_unit(cfg, False, rng)
             obs = apply_policy(truth, policy, rng)
             hits += obs.first_positive[0] is not None
         expect = sampling_fraction(10.0, 14.0, 7.0)
@@ -175,8 +173,8 @@ class TestScheduledTesting:
         cfg = UnitConfig(symptom=SymptomModelParams(tau=0.6))
         rng = np.random.default_rng(5)
         policy = TestingPolicy.scheduled(1.0)  # at or below minimum duration
-        for _ in range(200):
-            truth = simulate_unit(cfg, rng)
+        for i in range(200):
+            truth = simulate_unit(cfg, i % 2 == 0, rng)
             obs = apply_policy(truth, policy, rng)
             for inf in truth.infections:
                 assert obs.first_positive[inf.person_id] is not None
@@ -186,7 +184,7 @@ class TestScheduledTesting:
         # detections, never remove them.
         cfg = UnitConfig(symptom=SymptomModelParams(tau=0.6))
         rng = np.random.default_rng(6)
-        truths = [simulate_unit(cfg, rng) for _ in range(150)]
+        truths = [simulate_unit(cfg, i % 2 == 0, rng) for i in range(150)]
         k, phase = 12.0, 4.7
         for k_prime in (1.0, 2.0, 3.0, 4.0, 6.0, 12.0):
             coarse = TestingPolicy.scheduled(k, fixed_phase=phase, horizon_days=80.0)

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from sarbias import (DurationModelParams, EstimationError, SourceKind,
                      SymptomModelParams, TransmissionMode, UnitConfig,
-                     sample_primary, simulate_unit, true_ve_sar)
+                     simulate_unit, true_ve_sar)
 from sarbias.estimands import invert_target_to_nu, symptom_prompted_target_mu
 from sarbias.harness import spawn_rng
 from sarbias.simcore import Infection
@@ -18,59 +20,80 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
-def simulate_many(cfg, n, seed):
+def coin_statuses(rng):
+    """Primary statuses, one per ``next``, each a fair coin on ``rng``'s
+    next double, read from a copy of its bit generator's state without
+    advancing it. ``simulate_unit`` draws that double and leaves it unused,
+    so a stream yields both arms in equal shares, and its units stay those
+    of a stream that drew the status itself."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    while True:
+        copy.bit_generator.state = rng.bit_generator.state
+        yield copy.random() < 0.5
+
+
+def simulate_many(cfg, n, seed, vaccinated=None):
+    """``n`` units on one stream; the primary's status is ``vaccinated``
+    or, by default, a fair coin from :func:`coin_statuses`."""
     rng = rng_for(seed)
-    return [simulate_unit(cfg, rng) for _ in range(n)]
+    statuses = (itertools.repeat(vaccinated) if vaccinated is not None
+                else coin_statuses(rng))
+    return [simulate_unit(cfg, next(statuses), rng) for _ in range(n)]
 
 
-class TestSamplePrimary:
-    def test_never_vaccinated_when_p_zero(self):
-        cfg = UnitConfig(p_primary_vaccinated=0.0)
-        rng = rng_for(1)
-        assert not any(sample_primary(cfg, rng)[0] for _ in range(200))
+DURATIONS = [DurationModelParams(),
+             DurationModelParams(rho0=10.0, rho1=10.0, c=3.0, tau0=0.05),
+             DurationModelParams(rho0=20.5, rho1=6.25, c=2.5, nu_daily=0.3,
+                                 tau0=0.02)]
 
-    def test_vaccinated_symptomatic_fraction(self):
-        # Defaults: lambda * rho = 0.1 among vaccinated primaries.
-        cfg = UnitConfig(p_primary_vaccinated=1.0)
-        rng = rng_for(2)
+
+@st.composite
+def unit_configs(draw):
+    return UnitConfig(
+        unit_size=draw(st.integers(2, 6)),
+        contacts_vaccinated=draw(st.booleans()),
+        symptom=SymptomModelParams(
+            lambda_symptom=draw(st.sampled_from([0.0, 0.2, 1.0])),
+            rho_symptom=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            tau=draw(st.sampled_from([0.3, 0.9]))),
+        duration=draw(st.sampled_from(DURATIONS)),
+        community_daily_hazard=draw(st.sampled_from([0.0, 0.02])),
+        contact_to_contact=draw(st.booleans()),
+        transmission_mode=draw(st.sampled_from(list(TransmissionMode))))
+
+
+class TestPrimary:
+    @given(cfg=unit_configs(), vaccinated=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_primary_is_person_0_of_the_arm(self, cfg, vaccinated, seed):
+        truth = simulate_unit(cfg, vaccinated, rng_for(seed))
+        primary = truth.infections[0]
+        assert primary[:4] == (0, 0.0, SourceKind.PRIMARY, None)
+        assert truth.vaccinated[0] == vaccinated
+        rho, c = cfg.duration.mean_duration(vaccinated), cfg.duration.c
+        assert rho - c <= primary.duration_days <= rho + c
+        assert (primary.symptom_onset_time is not None) == primary.symptomatic
+
+    @pytest.mark.parametrize("vaccinated, lambda_symptom, expect, seed", [
+        (True, 0.2, 0.1, 2), (False, 0.2, 0.5, 3), (True, 1.0, 0.5, 4)])
+    def test_symptomatic_fraction(self, vaccinated, lambda_symptom, expect,
+                                  seed):
+        # lambda * rho among vaccinated primaries, rho = 0.5 among the
+        # unvaccinated: lambda = 1 equalizes the arms.
+        cfg = UnitConfig(unit_size=2, symptom=SymptomModelParams(
+            lambda_symptom=lambda_symptom))
         n = 30_000
-        sympt = sum(sample_primary(cfg, rng)[1].symptomatic for _ in range(n))
-        p_hat = sympt / n
-        se = math.sqrt(0.1 * 0.9 / n)
-        assert abs(p_hat - 0.1) <= 3 * se
-
-    def test_lambda_one_equalizes_arms(self):
-        cfg = UnitConfig(symptom=SymptomModelParams(lambda_symptom=1.0))
-        rng = rng_for(3)
-        table = np.zeros((2, 2), dtype=int)
-        for _ in range(100_000):
-            vaccinated, infection = sample_primary(cfg, rng)
-            table[int(vaccinated), int(infection.symptomatic)] += 1
-        _, p_value, _, _ = stats.chi2_contingency(table)
-        assert p_value > 0.001
-
-    def test_duration_within_support(self):
-        cfg = UnitConfig(p_primary_vaccinated=1.0)
-        rng = rng_for(4)
-        d = cfg.duration
-        for _ in range(500):
-            _, inf = sample_primary(cfg, rng)
-            assert d.rho1 - d.c <= inf.duration_days <= d.rho1 + d.c
-
-    def test_onset_only_when_symptomatic(self):
-        cfg = UnitConfig()
-        rng = rng_for(5)
-        for _ in range(500):
-            _, inf = sample_primary(cfg, rng)
-            assert (inf.symptom_onset_time is not None) == inf.symptomatic
+        sympt = sum(unit.infections[0].symptomatic
+                    for unit in simulate_many(cfg, n, seed, vaccinated))
+        se = math.sqrt(expect * (1 - expect) / n)
+        assert abs(sympt / n - expect) <= 3 * se
 
 
 class TestSimulateUnit:
     def test_no_transmission_leaves_only_primary(self):
         # nu = 0 with a vaccinated primary shuts transmission off entirely.
-        cfg = UnitConfig(p_primary_vaccinated=1.0,
-                         symptom=SymptomModelParams(nu=0.0))
-        for unit in simulate_many(cfg, 300, 6):
+        cfg = UnitConfig(symptom=SymptomModelParams(nu=0.0))
+        for unit in simulate_many(cfg, 300, 6, vaccinated=True):
             assert len(unit.infections) == 1
             assert unit.infections[0].source_kind is SourceKind.PRIMARY
 
@@ -86,9 +109,9 @@ class TestSimulateUnit:
     @pytest.mark.parametrize("vaccinated", [False, True])
     def test_per_day_hazard_marginal(self, vaccinated):
         # P(T per contact) = tau_v * rho_v under the linear hazard model.
-        cfg = UnitConfig(unit_size=2, p_primary_vaccinated=float(vaccinated),
+        cfg = UnitConfig(unit_size=2,
                          transmission_mode=TransmissionMode.PER_DAY_HAZARD)
-        units = simulate_many(cfg, 40_000, 8 + int(vaccinated))
+        units = simulate_many(cfg, 40_000, 8 + int(vaccinated), vaccinated)
         d = cfg.duration
         expect = d.daily_hazard(vaccinated) * d.mean_duration(vaccinated)
         p_hat = np.mean([u.primary_sourced_transmissions() for u in units])
@@ -154,9 +177,8 @@ class TestSimulateUnit:
 
     def test_community_infections_within_followup(self):
         cfg = UnitConfig(community_daily_hazard=0.03, followup_days=30.0,
-                         symptom=SymptomModelParams(nu=0.0),
-                         p_primary_vaccinated=1.0)
-        units = simulate_many(cfg, 600, 14)
+                         symptom=SymptomModelParams(nu=0.0))
+        units = simulate_many(cfg, 600, 14, vaccinated=True)
         community = [inf for u in units for inf in u.infections
                      if inf.source_kind is SourceKind.COMMUNITY]
         assert community
@@ -175,14 +197,14 @@ class TestSimulateUnit:
 
     def test_same_seed_reproduces_unit(self):
         cfg = UnitConfig(contact_to_contact=True, community_daily_hazard=0.02)
-        a = simulate_unit(cfg, rng_for(99))
-        b = simulate_unit(cfg, rng_for(99))
+        a = simulate_unit(cfg, True, rng_for(99))
+        b = simulate_unit(cfg, True, rng_for(99))
         assert a == b
 
     def test_infection_is_an_immutable_value(self):
         cfg = UnitConfig(contact_to_contact=True, community_daily_hazard=0.02)
-        a = simulate_unit(cfg, rng_for(99)).infections
-        b = simulate_unit(cfg, rng_for(99)).infections
+        a = simulate_unit(cfg, True, rng_for(99)).infections
+        b = simulate_unit(cfg, True, rng_for(99)).infections
         with pytest.raises(AttributeError):
             a[0].duration_days = 1.0
         assert [hash(inf) for inf in a] == [hash(inf) for inf in b]
@@ -205,8 +227,9 @@ class TestTruthStreamPinned:
                              contact_to_contact=chains,
                              community_daily_hazard=0.004 if chains else 0.0)
             rng = spawn_rng(2024, i)
+            statuses = coin_statuses(rng)
             for _ in range(300):
-                for inf in simulate_unit(cfg, rng).infections:
+                for inf in simulate_unit(cfg, next(statuses), rng).infections:
                     values = [getattr(inf, name) for name in Infection._fields]
                     h.update(repr([v.hex() if isinstance(v, float)
                                    else getattr(v, "value", v)
@@ -238,12 +261,10 @@ class TestTrueVeSar:
         assert abs(ve - 0.5) < 0.03
 
     def test_errors(self):
-        cfg = UnitConfig(p_primary_vaccinated=1.0)
-        units = simulate_many(cfg, 50, 19)
+        units = simulate_many(UnitConfig(), 50, 19, vaccinated=True)
         with pytest.raises(EstimationError, match="insufficient data"):
             true_ve_sar(units)
-        quiet = UnitConfig(p_primary_vaccinated=0.5,
-                           symptom=SymptomModelParams(nu=1.0, tau=0.01,
+        quiet = UnitConfig(symptom=SymptomModelParams(nu=1.0, tau=0.01,
                                                       delta=0.0, rho_symptom=0.0))
         # rho=0 and delta=0: nobody transmits, so the unvaccinated SAR is 0.
         units = simulate_many(quiet, 200, 20)
@@ -254,23 +275,21 @@ class TestTrueVeSar:
 class TestTransmissionModes:
     def test_exact_mode_probability_below_linear(self):
         # 1 - exp(-x) < x: the exact mode must infect slightly less often.
-        base = dict(unit_size=2, p_primary_vaccinated=0.0,
+        base = dict(unit_size=2,
                     duration=DurationModelParams(tau0=0.04, rho0=14.0,
                                                  rho1=8.0, c=7.0))
         linear = UnitConfig(transmission_mode=TransmissionMode.PER_DAY_HAZARD, **base)
         exact = UnitConfig(transmission_mode=TransmissionMode.PER_DAY_HAZARD_EXACT,
                            **base)
         p_lin = np.mean([u.primary_sourced_transmissions()
-                         for u in simulate_many(linear, 30_000, 21)])
+                         for u in simulate_many(linear, 30_000, 21, False)])
         p_exa = np.mean([u.primary_sourced_transmissions()
-                         for u in simulate_many(exact, 30_000, 22)])
+                         for u in simulate_many(exact, 30_000, 22, False)])
         assert p_lin == pytest.approx(0.04 * 14.0, abs=0.01)
         assert p_exa < p_lin
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             UnitConfig(unit_size=1)
-        with pytest.raises(ValueError):
-            UnitConfig(p_primary_vaccinated=1.5)
         with pytest.raises(ValueError):
             UnitConfig(community_daily_hazard=-0.1)
