@@ -2,7 +2,7 @@
 
 :func:`run_cohort` runs the model of ``simulate_unit``, ``apply_policy``
 and ``analyze_unit`` over person-major ``(unit_size, n)`` arrays (row 0 is
-the primary), a fixed-size chunk of units at a time, in three steps:
+the primary), a chunk of units at a time, in three steps:
 :func:`simulate_cohort`, :func:`observe_cohort` and :func:`analyze_cohort`.
 It implements every scenario field and reproduces the object pipeline in
 law, not draw for draw: it draws every person's infection attributes and
@@ -29,9 +29,11 @@ from .simcore import TransmissionMode, UnitConfig
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
 
-# Each arm draws its chunks in order from one stream, so this chunk size is
-# part of what fixes the output bits for a seed.
-COHORT_CHUNK = 1 << 15
+# Persons per chunk: a chunk holds COHORT_PERSONS // unit_size units (at
+# least one), so its person-major arrays are the same size whatever the unit
+# size. Each arm draws its chunks in order from one stream, so this budget
+# is part of what fixes the output bits for a seed.
+COHORT_PERSONS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -426,20 +428,22 @@ def _count(truth: CohortTruth, analysis: CohortAnalysis,
 def run_cohort(cfg: "ScenarioConfig", units_per_arm: int,
                rng: np.random.Generator) -> CohortCounts:
     """``units_per_arm`` units per arm of the scenario's base config, the
-    vaccinated arm first, each in chunks of :data:`COHORT_CHUNK` units
-    drawn in order from ``rng``. Raises ``ValueError`` for no units or a
-    set sweep axis."""
+    vaccinated arm first, each in chunks drawn in order from ``rng``: a
+    chunk holds ``COHORT_PERSONS // unit_size`` units (at least one), so
+    units of two draw 2^15 at a time and units of eight 2^13. Raises
+    ``ValueError`` for no units or a set sweep axis."""
     if units_per_arm < 1:
         raise ValueError(f"units_per_arm must be >= 1, got {units_per_arm}")
     if cfg.sweep_axis is not None:
         raise ValueError(f"the oracle does not model sweep_axis = "
                          f"{cfg.sweep_axis!r}: it answers for the base config")
     onsets = cfg.policy.kind in SYMPTOM_KINDS
+    chunk = max(1, COHORT_PERSONS // cfg.unit.unit_size)
     scratch = _Scratch()
     total = None
     for vaccinated in (True, False):
-        for start in range(0, units_per_arm, COHORT_CHUNK):
-            n = min(COHORT_CHUNK, units_per_arm - start)
+        for start in range(0, units_per_arm, chunk):
+            n = min(chunk, units_per_arm - start)
             truth = simulate_cohort(cfg.unit, vaccinated, n, rng, onsets, scratch)
             obs = observe_cohort(truth, cfg.policy, rng, scratch)
             analysis = analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)

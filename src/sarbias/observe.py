@@ -102,6 +102,12 @@ class TestingPolicy:
         if self.interval_days is None or not 0.0 < self.interval_days < math.inf:
             raise ParameterError("interval_days must be finite and > 0 for "
                                  f"scheduled testing, got {self.interval_days}")
+        # Slot numbers stay integers that a double holds exactly, or a slot
+        # search stepping j by 1 can stop moving.
+        if self.horizon_days / self.interval_days > 2.0 ** 53:
+            raise ParameterError(
+                "interval_days must be at least horizon_days / 2^53 = "
+                f"{self.horizon_days / 2.0 ** 53:g}, got {self.interval_days}")
         if self.fixed_phase is not None and not (
                 0.0 <= self.fixed_phase < self.interval_days):
             raise ParameterError("fixed_phase must lie in [0, interval_days), "
@@ -301,10 +307,12 @@ def apply_policy(truth: UnitTruth, policy: TestingPolicy,
         tested = [was or n_tests > 0 for was, n_tests in zip(tested, n_slots)]
         for inf in truth.infections:
             pid = inf.person_id
-            if n_slots[pid] <= 0:
+            phase, acquisition = phases[pid], inf.acquisition_time
+            # No slot detects an infection after the last one, however late:
+            # skipped before the slot search, whose steps a late one can stall.
+            if (n_slots[pid] <= 0
+                    or acquisition > phase + (n_slots[pid] - 1) * k):
                 continue
-            phase = phases[pid]
-            acquisition = inf.acquisition_time
             j = _first_slot_at_or_after(acquisition, phase, k)
             t = phase + j * k
             first = first_positive[pid]

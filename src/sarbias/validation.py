@@ -19,7 +19,7 @@ from . import estimands
 from .harness import (ScenarioConfig, _parallel_map, scheduled_reference,
                       spawn_rng, symptom_reference)
 from .infer import EstimationError, StudyDesignFilter, VeRatio
-from .mc import COHORT_CHUNK, CohortCounts, run_cohort
+from .mc import COHORT_PERSONS, CohortCounts, run_cohort
 from .observe import TestingPolicy
 from .params import DurationModelParams, SymptomModelParams
 from .simcore import TransmissionMode, UnitConfig
@@ -64,13 +64,14 @@ def mc_detection_fraction(rho_v: float, c: float, interval_k: float,
     detected when that offset lands inside the duration. Returns
     (fraction, standard error).
 
-    Draws :data:`COHORT_CHUNK` durations and then as many
-    offsets at a time, in order from ``rng``, so it holds one chunk of each
-    at once and streams from any numpy bit generator.
+    Draws ``COHORT_PERSONS // 2`` durations and then as many offsets at a
+    time, in order from ``rng``: one chunk holds the engine's budget of
+    doubles, and the draws stream from any numpy bit generator.
     """
+    chunk = COHORT_PERSONS // 2
     detected = 0
-    for start in range(0, n, COHORT_CHUNK):
-        m = min(COHORT_CHUNK, n - start)
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
         durations = rng.uniform(rho_v - c, rho_v + c, m)
         detected += int(np.count_nonzero(rng.uniform(0.0, interval_k, m)
                                          < durations))
@@ -149,10 +150,12 @@ def run_validation_suite(units_per_arm: int = 1_000_000,
     detection_cases = ((10.0, d.rho1), (10.0, d.rho0), (15.0, d.rho1))
     # name: (oracle, its arguments before the units, its stream key), in
     # submission order; the oracles are looked up here, when the suite runs.
-    # The two cohorts of four hold the largest chunk arrays: the symptom
-    # cohort, the longest task, goes first and the fully observed one after
-    # the seven piecewise cohorts, so two worker threads do not hold both
-    # at once (lower peak memory), and the short tasks fill the end.
+    # The two cohorts of four are the longest tasks: the symptom cohort goes
+    # first and the fully observed one after the seven piecewise cohorts, so
+    # the short tasks fill the end. On 2 cores plain suite order measured
+    # 0.78 s against 0.76 s, and the symptom cohort first then suite order
+    # 0.76 s against 0.73 s (medians of 8 alternating runs at 10^6 units);
+    # peak RSS moved under 0.15 MB, as every chunk holds the same persons.
     tasks = {"symptom": (mc_symptom_prompted_ve, (s, d), (24,))}
     tasks |= {("piecewise", k): (mc_infrequent_observed, (d, k), (10, i))
               for i, k in enumerate(PIECEWISE_K_GRID)}

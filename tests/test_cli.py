@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,22 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"config error: {key}: cannot parse ")
+        assert not out.exists()
+
+    def test_tiny_interval_rejected(self, tmp_path):
+        # Such an interval once hung simulate in its slot search: run in a
+        # child process, so a hang fails the test by its timeout.
+        config, out = tmp_path / "scenario.cfg", tmp_path / "rows.csv"
+        config.write_text("scenario.seed = 1\nscenario.units_per_arm = 50\n"
+                          "policy.kind = scheduled\npolicy.interval_days = 1e-30\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sarbias.cli", "simulate", "--config",
+             str(config), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: policy: interval_days ")
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["config", "flag"])

@@ -18,7 +18,7 @@ from sarbias.harness import (_assign, run_scenario, scheduled_reference,
                              spawn_rng,
                              symptom_reference)
 from sarbias.infer import ArmCounts
-from sarbias.mc import (COHORT_CHUNK, CohortTruth, _count, _Scratch,
+from sarbias.mc import (COHORT_PERSONS, CohortTruth, _count, _Scratch,
                         analyze_cohort, observe_cohort, simulate_cohort)
 from sarbias.observe import SCHEDULED_KINDS, SYMPTOM_KINDS
 WINDOWS = [(-60.0, 60.0), (0.0, 60.0), (1.0, 7.0), (2.0, 14.0), (0.0, 4.0)]
@@ -355,69 +355,97 @@ def test_shared_at_risk_counts_as_per_unit(attributed, m):
 
 def _pinned_configs():
     """The engine's reference configs, both benchmark pipeline designs, and
-    one config for each optional path of the engine."""
+    one config for each optional path of the engine, by name, in the order
+    of their stream keys."""
     d = DurationModelParams()
     hazard = TransmissionMode.PER_DAY_HAZARD
     houses_of_4 = UnitConfig(unit_size=4, transmission_mode=hazard)
     every_7 = TestingPolicy.scheduled(7.0)
-    return [
-        symptom_reference(SymptomModelParams()),
-        scheduled_reference(d, 7.0),
-        ScenarioConfig(  # validate's fully observed cohort
+    return {
+        "symptom_reference": symptom_reference(SymptomModelParams()),
+        "scheduled_reference": scheduled_reference(d, 7.0),
+        "fully_observed": ScenarioConfig(  # validate's fully observed cohort
             unit=UnitConfig(duration=d, transmission_mode=hazard),
             policy=TestingPolicy.scheduled(1.0, shared_phase=True),
             design=StudyDesignFilter(attribution_window=(0.0, 60.0))),
-        ScenarioConfig(unit=houses_of_4, policy=every_7,
-                       design=StudyDesignFilter.harris()),
-        ScenarioConfig(unit=UnitConfig(unit_size=8),
-                       policy=TestingPolicy.symptom_prompted(),
-                       design=StudyDesignFilter.lyngse()),
-        ScenarioConfig(unit=houses_of_4,
-                       policy=TestingPolicy.scheduled(7.0, participation=0.7)),
-        ScenarioConfig(unit=houses_of_4,
-                       policy=TestingPolicy.scheduled(3.5, shared_phase=True),
-                       design=StudyDesignFilter.harris()),
-        ScenarioConfig(unit=houses_of_4,
-                       policy=TestingPolicy.scheduled(7.0, fixed_phase=2.5),
-                       design=StudyDesignFilter.lyngse()),
-        ScenarioConfig(policy=TestingPolicy.symptom_plus_scheduled(
-            10.0, delay_days=1.5), design=StudyDesignFilter.harris()),
-        ScenarioConfig(design=StudyDesignFilter(
+        "harris_every_7": ScenarioConfig(unit=houses_of_4, policy=every_7,
+                                         design=StudyDesignFilter.harris()),
+        "lyngse_households_of_8": ScenarioConfig(
+            unit=UnitConfig(unit_size=8),
+            policy=TestingPolicy.symptom_prompted(),
+            design=StudyDesignFilter.lyngse()),
+        "participation": ScenarioConfig(
+            unit=houses_of_4,
+            policy=TestingPolicy.scheduled(7.0, participation=0.7)),
+        "shared_phase": ScenarioConfig(
+            unit=houses_of_4,
+            policy=TestingPolicy.scheduled(3.5, shared_phase=True),
+            design=StudyDesignFilter.harris()),
+        "fixed_phase": ScenarioConfig(
+            unit=houses_of_4,
+            policy=TestingPolicy.scheduled(7.0, fixed_phase=2.5),
+            design=StudyDesignFilter.lyngse()),
+        "symptom_plus_scheduled": ScenarioConfig(
+            policy=TestingPolicy.symptom_plus_scheduled(10.0, delay_days=1.5),
+            design=StudyDesignFilter.harris()),
+        "onset_anchor": ScenarioConfig(design=StudyDesignFilter(
             attribution_window=(1.0, 10.0), require_contact_tested=True,
             anchor=WindowAnchor.ONSET_TIME)),
-        ScenarioConfig(unit=replace(houses_of_4, community_daily_hazard=0.01,
-                                    contact_to_contact=True),
-                       policy=every_7, design=StudyDesignFilter.gier()),
-        ScenarioConfig(unit=replace(
+        "community_contact_to_contact": ScenarioConfig(
+            unit=replace(houses_of_4, community_daily_hazard=0.01,
+                         contact_to_contact=True),
+            policy=every_7, design=StudyDesignFilter.gier()),
+        "exact_hazard": ScenarioConfig(unit=replace(
             houses_of_4, transmission_mode=TransmissionMode.PER_DAY_HAZARD_EXACT),
             policy=every_7),
-    ]
+    }
+
+
+def _chunk_units(cfg):
+    """Units per engine chunk: the person budget over the unit size."""
+    return max(1, COHORT_PERSONS // cfg.unit.unit_size)
 
 
 class TestCohortStreamPinned:
     """Every count of ``run_cohort`` over three chunks per arm, the last
-    partial, pinned by digest: an engine edit that changes a draw, its
-    order or any tally changes it."""
+    partial, pinned by one digest per config: an engine edit that changes
+    a draw, its order or any tally changes the digest of each config it
+    reaches."""
 
-    DIGEST = "73c10efb4d4cf4f1981d128fc447d11b9bcb25c8f6954f1be97c9291cb0a9d6f"
+    DIGESTS = {
+        "symptom_reference": "296a9d8fc88203f19c3cc55c867d878f8d6d3b2d0c4cd2dc7811d87111af611f",
+        "scheduled_reference": "9b1eee9ae4b036e9d6062dcc793d2ab83637b6d6debc8b3d54611123ac532181",
+        "fully_observed": "b631dcc24735ab962fa6378404ebc274ccf3f817a5ff7a686f5f16e3111bd2e5",
+        "harris_every_7": "bd4c61c5ebd599b8fa2a47642b3dc23b8e9837415d544cc5519474f6a7b4dc76",
+        "lyngse_households_of_8": "0e22e40740d9ae429230687bd490646b2370e03f713b978d509c920499356bfe",
+        "participation": "5b885503af06814fde7c289e4f85d063eae284d93f892ce5f516deefc2a8f34b",
+        "shared_phase": "8aec3f13638d6ffdf3a8cb2b0fc679574562f26a66adfcdea5832bbd3623a435",
+        "fixed_phase": "ad50c05f71eb29fa5578191fae5a524bb61c41a07ac0cd720f3c13e9c833e679",
+        "symptom_plus_scheduled": "6a7528365832391df12058df9e62131b2a2be2cb266525f37333213727b1121e",
+        "onset_anchor": "06521157c75b1703998e70987b2cc06c40f6f6f00e6c7a95fec5656be647b5c8",
+        "community_contact_to_contact": "8c4db0b79e3051ddf69104c7b7c78f6cb5bbee4b7e9f45b5a8b01b92053d14cd",
+        "exact_hazard": "0783d8eb2e7c0f9570e7e91c84ccbc32454b08e3331363fb15f65082a11a7bca",
+    }
 
-    def test_digest(self):
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_digest(self, name):
+        configs = _pinned_configs()
+        cfg, key = configs[name], list(configs).index(name)
+        counts = run_cohort(cfg, 2 * _chunk_units(cfg) + 123,
+                            spawn_rng(2024, key))
         digest = hashlib.sha256()
-        for i, cfg in enumerate(_pinned_configs()):
-            counts = run_cohort(cfg, 2 * COHORT_CHUNK + 123, spawn_rng(2024, i))
-            for arm in (True, False):
-                record = (astuple(counts.observed[arm]),
-                          astuple(counts.truth[arm]),
-                          [counts.excluded[(reason, arm)]
-                           for reason in ("no_index", "coprimary")])
-                digest.update(repr((i, arm, record)).encode())
-        assert digest.hexdigest() == self.DIGEST
+        for arm in (True, False):
+            record = (astuple(counts.observed[arm]), astuple(counts.truth[arm]),
+                      [counts.excluded[(reason, arm)]
+                       for reason in ("no_index", "coprimary")])
+            digest.update(repr((arm, record)).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
 
 
 class TestChunkAllocation:
     """After a call's first chunk, every engine step writes into the
     arrays of its scratch: a second chunk allocates less, at its peak, than
-    one ``(unit_size, COHORT_CHUNK)`` float64 array."""
+    one float64 array over the chunk's persons (``COHORT_PERSONS``)."""
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(cfg, marks=pytest.mark.xfail(
@@ -425,19 +453,20 @@ class TestChunkAllocation:
             "np.where: its allocation-free selects measured slower"))
         if cfg.design.anchor is WindowAnchor.ONSET_TIME
         and cfg.policy.kind in SYMPTOM_KINDS else cfg
-        for cfg in _pinned_configs() + [
+        for cfg in list(_pinned_configs().values()) + [
             ScenarioConfig(policy=TestingPolicy.none())]])
     def test_second_chunk_allocates_no_chunk_array(self, cfg):
         scratch, rng = _Scratch(), spawn_rng(7)
         _count(*_analysed_chunk(cfg, rng, scratch), scratch)
         peak = _peak_bytes(
             lambda: _count(*_analysed_chunk(cfg, rng, scratch), scratch))
-        assert peak < cfg.unit.unit_size * COHORT_CHUNK * 8
+        assert peak < COHORT_PERSONS * 8
 
-    @pytest.mark.parametrize("cfg", _pinned_configs())
+    @pytest.mark.parametrize("cfg", list(_pinned_configs().values()))
     def test_count_allocates_under_128_kib(self, cfg):
-        # Counting reads the chunk's per-unit arrays; at 2^15 units one
-        # int64 copy of such an array is 256 KiB.
+        # Counting reads the chunk's per-unit arrays, and numpy's reductions
+        # buffer 64 KiB: one int64 copy of such an array (64 KiB at units of
+        # eight, 256 KiB at units of two) would cross the bound.
         scratch, rng = _Scratch(), spawn_rng(7)
         _count(*_analysed_chunk(cfg, rng, scratch), scratch)
         truth, analysis = _analysed_chunk(cfg, rng, scratch)
@@ -446,9 +475,9 @@ class TestChunkAllocation:
 
 
 def _analysed_chunk(cfg, rng, scratch):
-    """The truth and analysis of one vaccinated-arm chunk of
-    :data:`COHORT_CHUNK` units, in ``scratch``."""
-    truth = simulate_cohort(cfg.unit, True, COHORT_CHUNK, rng,
+    """The truth and analysis of one full vaccinated-arm chunk, in
+    ``scratch``."""
+    truth = simulate_cohort(cfg.unit, True, _chunk_units(cfg), rng,
                             cfg.policy.kind in SYMPTOM_KINDS, scratch)
     obs = observe_cohort(truth, cfg.policy, rng, scratch)
     return truth, analyze_cohort(obs, cfg.design, cfg.index_rule, scratch)

@@ -16,7 +16,7 @@ from sarbias import (DurationModelParams, ScenarioConfig, StudyDesignFilter,
                      sampling_fraction, simulate_unit,
                      symptom_prompted_target_mu)
 from sarbias.harness import scheduled_reference, symptom_reference
-from sarbias.mc import COHORT_CHUNK, run_cohort
+from sarbias.mc import COHORT_PERSONS, run_cohort
 from sarbias.validation import (mc_detection_fraction, mc_fully_observed_naive,
                                 mc_infrequent_observed, mc_symptom_prompted_ve)
 
@@ -89,10 +89,11 @@ class TestDetectionBridge:
 
 
     def test_streams_in_chunks(self):
-        # Two arrays of a million doubles held 16 MB; a chunk of each, 0.5 MB.
+        # Two arrays of a million doubles held 16 MB; a chunk of both,
+        # COHORT_PERSONS doubles, 0.5 MB.
         _, peak = traced_peak(lambda: mc_detection_fraction(
             8.0, 7.0, 10.0, 1_000_000, np.random.default_rng(1)))
-        assert peak < 4 * COHORT_CHUNK * 8
+        assert peak < 2 * COHORT_PERSONS * 8
 
     @pytest.mark.parametrize("bit_generator", [
         np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
@@ -100,11 +101,12 @@ class TestDetectionBridge:
     def test_chunked_in_order_draws_on_every_bit_generator(self, bit_generator):
         # n not a multiple of the chunk: each chunk draws its durations,
         # then its offsets, from the one stream.
-        n = 3 * COHORT_CHUNK + 12_345
+        chunk = COHORT_PERSONS // 2
+        n = 3 * chunk + 12_345
         reference = np.random.Generator(bit_generator(5))
         detected = 0
-        for start in range(0, n, COHORT_CHUNK):
-            m = min(COHORT_CHUNK, n - start)
+        for start in range(0, n, chunk):
+            m = min(chunk, n - start)
             durations = reference.uniform(8.0 - 7.0, 8.0 + 7.0, m)
             detected += int(np.sum(reference.uniform(0.0, 10.0, m) < durations))
         f = detected / n
@@ -119,13 +121,33 @@ class TestDetectionBridge:
     lambda n, rng: mc_fully_observed_naive(D, 1.0, n, rng)],
     ids=["scheduled", "symptom", "fully-observed"])
 def test_run_cohort_peak_does_not_grow_with_units(oracle):
-    # A chunk's arrays are freed as the next chunk's replace them, so one
-    # chunk per arm and 32 per arm hold the same bytes at once, up to a few
-    # Python objects (well under half a row of a chunk, 128 KiB).
-    _, one = traced_peak(lambda: oracle(COHORT_CHUNK, np.random.default_rng(3)))
-    _, many = traced_peak(lambda: oracle(32 * COHORT_CHUNK,
-                                         np.random.default_rng(3)))
-    assert many < one + COHORT_CHUNK * 8 / 2
+    # A call's chunks share one set of arrays, so one or two chunks per arm
+    # (units of two and of four) and 32 or 64 per arm hold the same bytes at
+    # once, up to a few Python objects (well under 128 KiB).
+    units = COHORT_PERSONS // 2
+    _, one = traced_peak(lambda: oracle(units, np.random.default_rng(3)))
+    _, many = traced_peak(lambda: oracle(32 * units, np.random.default_rng(3)))
+    assert many < one + COHORT_PERSONS * 2
+
+
+@pytest.mark.parametrize("policy, design", [
+    (TestingPolicy.symptom_prompted(), StudyDesignFilter.lyngse()),
+    (TestingPolicy.scheduled(7.0), StudyDesignFilter.harris())],
+    ids=["symptom-lyngse", "every-7-harris"])
+def test_run_cohort_peak_does_not_grow_with_unit_size(policy, design):
+    # A chunk holds a fixed budget of persons, so larger units mean fewer
+    # units per chunk, not larger arrays. Three chunks per arm or more at
+    # every size; without contact-to-contact spread, whose pair array grows
+    # with the unit size.
+    units = 3 * COHORT_PERSONS // 2 + 123
+    peaks = {}
+    for size in (2, 4, 8):
+        cfg = ScenarioConfig(unit=UnitConfig(unit_size=size), policy=policy,
+                             design=design)
+        _, peaks[size] = traced_peak(
+            lambda: run_cohort(cfg, units, np.random.default_rng(5)))
+    assert peaks[4] <= 1.25 * peaks[2]
+    assert peaks[8] <= 1.25 * peaks[2]
 
 
 class TestInfrequentOracle:

@@ -55,6 +55,14 @@ class TestPolicyValidation:
                            match=f"{field_name} must be finite and > 0"):
             TestingPolicy(kind=PolicyKind.SCHEDULED, **kwargs)
 
+    def test_slot_count_must_fit_a_double(self):
+        # A slot search steps j by 1, which stops moving phase + j * k once
+        # the slot numbers pass 2^53.
+        with pytest.raises(ParameterError, match="interval_days must be at "
+                           "least horizon_days / 2\\^53 = 6.66134e-15, got 1e-30"):
+            TestingPolicy.scheduled(1e-30)
+        TestingPolicy.scheduled(60.0 / 2.0 ** 53)
+
     @pytest.mark.parametrize("kind", [PolicyKind.NO_TESTING,
                                       PolicyKind.SYMPTOM_PROMPTED])
     @pytest.mark.parametrize("field_name, value", [
@@ -204,6 +212,16 @@ class TestScheduledTesting:
         policy = TestingPolicy.scheduled(7.0, horizon_days=20.0)
         obs = apply_policy(unit, policy, np.random.default_rng(7))
         assert all(t.test_time <= 20.0 for t in obs.tests)
+
+    def test_acquisition_after_last_slot_is_undetected(self):
+        # (acquisition - phase) / k is far above 2^53 here, where a slot
+        # search stepping j by 1 can stall: no slot can detect it anyway.
+        unit = make_unit([primary_infection(), secondary_infection(1, 1e20)])
+        obs = apply_policy(unit, TestingPolicy.scheduled(7.0),
+                           np.random.default_rng(7))
+        assert obs.first_positive[1] is None
+        assert obs.tested[1]
+        assert_summary_matches_records(obs)
 
     def test_symptom_plus_scheduled_includes_both(self):
         unit = make_unit([primary_infection(onset=6.0)], n_persons=2)
