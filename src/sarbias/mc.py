@@ -10,6 +10,10 @@ every pair's transmission coin up front, which has the same law because no
 coin depends on the order in which infections arrive. It observes by the
 testing policy alone, whatever the design, and is independent of the
 closed forms in :mod:`sarbias.estimands`, which are checked against it.
+
+Every step writes into the arrays of one :class:`_Scratch` per call: a
+name for each array that outlives its step, and for the rest the
+``temp`` of its dtype, valid until the next ``temp`` of that dtype.
 """
 
 from __future__ import annotations
@@ -105,14 +109,20 @@ class _Scratch:
     use. :func:`run_cohort` gives one to all of a run's chunks, so each
     chunk writes into the memory of the chunk before: with fresh arrays,
     malloc hands freed pages back to the OS and the next chunk faults them
-    in again. Each name serves one role, and a chunk's arrays are dead once
-    it is counted."""
+    in again.
+
+    An array that outlives the step that fills it has a name of its own:
+    the truth, observation and analysis fields, and any array still live
+    across an :func:`_inf_unless` call. Every other array is the
+    :meth:`temp` of its dtype, valid until the next :meth:`temp` of that
+    dtype is taken. A chunk's arrays are dead once it is counted."""
 
     def __init__(self) -> None:
-        self._memory: dict = {}  # (name, dtype): flat array
+        self._memory: dict = {}  # (name, dtype): flat array; name None: temp
         self._arrays: dict = {}  # (name, shape, dtype): a view of it
 
-    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def __call__(self, name: Optional[str], shape: tuple,
+                 dtype=np.float64) -> np.ndarray:
         array = self._arrays.get((name, shape, dtype))
         if array is None:
             size = math.prod(shape)
@@ -123,6 +133,11 @@ class _Scratch:
             array = self._arrays[name, shape, dtype] = memory[:size].reshape(shape)
         return array
 
+    def temp(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """The one temporary array of ``dtype``: the next ``temp`` of that
+        dtype writes over it."""
+        return self(None, shape, np.dtype(dtype))
+
 
 def _inf_unless(mask: np.ndarray, t: np.ndarray, new: _Scratch) -> np.ndarray:
     """``t``, set in place to inf where ``mask`` (``t``'s shape) is False,
@@ -130,19 +145,20 @@ def _inf_unless(mask: np.ndarray, t: np.ndarray, new: _Scratch) -> np.ndarray:
     # inf * (not mask) is NaN where mask is True and inf elsewhere, and
     # fmax ignores a NaN: a select without the per-element branch of
     # putmask, which mispredicts on random masks.
-    unless = np.logical_not(mask, out=new("unless", t.shape, bool))
+    unless = np.logical_not(mask, out=new.temp(t.shape, bool))
     with np.errstate(invalid="ignore"):
-        penalty = np.multiply(unless, np.inf, out=new("penalty", t.shape))
+        penalty = np.multiply(unless, np.inf, out=new.temp(t.shape))
     return np.fmax(t, penalty, out=t)
 
 
-def _per_unit(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _per_unit(mask: np.ndarray, out: np.ndarray, new: _Scratch) -> np.ndarray:
     """How many rows of a ``(rows, n)`` bool array are True, per unit, into
-    the ``(n,)`` integer array ``out``."""
+    the ``(n,)`` integer array ``out``, with scratch from ``new``."""
     # Summed as bytes in the narrowest type that holds the row count:
     # numpy's bool sum widens every element first, at several times the cost.
+    narrow = np.min_scalar_type(len(mask))
     np.copyto(out, mask.view(np.uint8).sum(
-        axis=0, dtype=np.min_scalar_type(len(mask))))
+        axis=0, dtype=narrow, out=new.temp(out.shape, narrow)))
     return out
 
 
@@ -192,10 +208,10 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
             sick = symptomatic[:n_sources]
             p = np.multiply(sick, _rows([transmission(v, True) for v in sources]),
                             out=new("p", sick.shape))
-            healthy = np.logical_not(sick, out=new("healthy", sick.shape, bool))
+            healthy = np.logical_not(sick, out=new.temp(sick.shape, bool))
             p += np.multiply(healthy,
                              _rows([transmission(v, False) for v in sources]),
-                             out=new("p_healthy", sick.shape))
+                             out=new.temp(sick.shape))
             p = p[:, None]
             np.less(delay, p, out=transmits)
             delay *= np.divide(source_duration, p, out=p)  # U(0, duration)
@@ -227,7 +243,7 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
         if unit.contact_to_contact:
             for i in range(1, size):
                 delay[i, i - 1] = np.inf  # no self-infection
-            via = new("via", (size - 1, n))  # infected through person i
+            via = new.temp((size - 1, n))  # infected through person i
             for _ in range(size - 2):
                 for i in range(1, size):
                     np.minimum(acquisition[1:],
@@ -239,7 +255,7 @@ def simulate_cohort(unit: UnitConfig, vaccinated: bool, n: int,
 
     onset = None
     if onsets:
-        sick = np.less(acquisition, np.inf, out=new("sick", (size, n), bool))
+        sick = np.less(acquisition, np.inf, out=new.temp((size, n), bool))
         sick &= symptomatic
         onset = new("onset", (size, n))
         onset.fill(np.inf)
@@ -268,11 +284,10 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
         return CohortObserved(first_positive, tested, reported_onset)
     participates = None  # everyone
     if policy.participation < 1.0:
-        participates = np.less(rng.random(out=new("uniform", shape)),
+        participates = np.less(rng.random(out=new.temp(shape)),
                                policy.participation,
                                out=new("participates", shape, bool))
     positive_until = truth.positive_until
-    hit = new("hit", shape, bool)
 
     if policy.kind in SYMPTOM_KINDS:
         t = np.add(truth.onset, policy.delay_days, out=new("symptom_time", shape))
@@ -280,7 +295,7 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
                                      out=new("symptom_test", shape, bool))
         if participates is not None:
             symptom_test &= participates
-        np.less(t, positive_until, out=hit)
+        hit = np.less(t, positive_until, out=new("hit", shape, bool))
         first_positive = _inf_unless(np.logical_and(symptom_test, hit, out=hit),
                                      t, new)
         tested |= symptom_test
@@ -296,7 +311,7 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
                                        else shape))
             phase *= k
             last_slot = np.subtract(policy.horizon_days, phase,
-                                    out=new("last_slot", phase.shape))
+                                    out=new.temp(phase.shape))
         else:
             last_slot = policy.horizon_days - phase
         # First slot phase + j * k at or after acquisition (j >= 0, as the
@@ -307,12 +322,12 @@ def observe_cohort(truth: CohortTruth, policy: TestingPolicy,
         last_slot /= k
         positive = np.less_equal(slot, last_slot, out=new("positive", shape, bool))
         # A symptom test implies participation: mask the union at once.
-        tested |= np.greater_equal(last_slot, 0.0, out=new("has_slots", shape, bool))
+        tested |= np.greater_equal(last_slot, 0.0, out=new.temp(shape, bool))
         if participates is not None:
             tested &= participates
         slot *= k
         slot += phase
-        positive &= np.less(slot, positive_until, out=hit)
+        positive &= np.less(slot, positive_until, out=new.temp(shape, bool))
         if participates is not None:
             positive &= participates
         scheduled = _inf_unless(positive, slot, new)
@@ -338,7 +353,7 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
         rows = np.min_scalar_type(size)
         index = new("index", (n,), rows)
         index.fill(0)
-        step, is_first = new("step", (n,), rows), new("is_first", (n,), bool)
+        step, is_first = new.temp((n,), rows), new.temp((n,), bool)
         for i in range(size - 1, -1, -1):  # ties go to the lowest id
             # index = i where row i is first, as arithmetic: no branch.
             np.subtract(index, i, out=step)
@@ -351,8 +366,8 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
     analysed = np.logical_not(no_index, out=new("analysed", (n,), bool))
     if design.coprimary_exclusion_days is not None:
         # Two positive dates within the limit, compared pair by pair.
-        dates = np.floor(first_positive, out=new("dates", (size, n)))
-        gap, near = new("gap", (n,)), new("near", (n,), bool)
+        dates = np.floor(first_positive, out=new.temp((size, n)))
+        gap, near = new("gap", (n,)), new.temp((n,), bool)
         with np.errstate(invalid="ignore"):  # inf - inf between two misses
             for i in range(1, size):
                 for j in range(i):
@@ -360,7 +375,7 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
                     coprimary |= np.less_equal(
                         gap, design.coprimary_exclusion_days, out=near)
         coprimary &= analysed
-        analysed &= np.logical_not(coprimary, out=new("not_coprimary", (n,), bool))
+        analysed &= np.logical_not(coprimary, out=new.temp((n,), bool))
 
     events, anchor = first_positive, first
     if design.anchor is WindowAnchor.ONSET_TIME and obs.reported_onset is not None:
@@ -373,17 +388,16 @@ def analyze_cohort(obs: CohortObserved, design: StudyDesignFilter,
     if index_rule == "true_primary":
         events, own = events[1:], False
     with np.errstate(invalid="ignore"):  # inf - inf in units without index
-        lag = np.subtract(events, anchor,
-                          out=new("lag", (size, n))[:len(events)])
+        lag = np.subtract(events, anchor, out=new.temp((len(events), n)))
     in_window = np.greater_equal(lag, lo, out=new("in_window", lag.shape, bool))
-    in_window &= np.less_equal(lag, hi, out=new("below_hi", lag.shape, bool))
-    attributed = _per_unit(in_window, new("attributed", (n,), np.int64))
+    in_window &= np.less_equal(lag, hi, out=new.temp(lag.shape, bool))
+    attributed = _per_unit(in_window, new("attributed", (n,), np.int64), new)
     attributed *= analysed
     if own:
         attributed -= analysed
     at_risk = size - 1
     if design.require_contact_tested:
-        at_risk = _per_unit(obs.tested, new("at_risk", (n,), np.int64))
+        at_risk = _per_unit(obs.tested, new("at_risk", (n,), np.int64), new)
         at_risk *= analysed
         at_risk -= analysed  # the index has a positive test
     return CohortAnalysis(attributed, at_risk, index, no_index, coprimary,
@@ -403,19 +417,18 @@ def _count(truth: CohortTruth, analysis: CohortAnalysis,
     else:
         # Each arm masks out the other's units, whose at-risk contacts then
         # count 0: as the counts' contract says, they add nothing.
-        units = np.equal(analysis.index, 0, out=new("units", (n,), bool))
+        units = np.equal(analysis.index, 0, out=new.temp((n,), bool))
         units &= analysed  # indexed by the primary, then by a contact
         observed = {}
         for arm in (primary, contacts):
             observed[arm] = ArmCounts.from_units(
-                np.multiply(attributed, units,
-                            out=new("arm_attributed", (n,), np.int64)),
+                np.multiply(attributed, units, out=new.temp((n,), np.int64)),
                 at_risk if np.ndim(at_risk) == 0 else np.multiply(
                     at_risk, units, out=new("arm_at_risk", (n,), np.int64)),
                 int(np.count_nonzero(units)))
             np.logical_xor(units, analysed, out=units)
     primary_sourced = _per_unit(truth.primary_sourced,
-                                new("primary_sourced", (n,), np.int64))
+                                new.temp((n,), np.int64), new)
     truth_arms = {not primary: ArmCounts.ZERO,
                   primary: ArmCounts.from_units(primary_sourced,
                                                 len(truth.vaccinated) - 1)}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sarbias import (DurationModelParams, PolicyKind, ScenarioConfig,
                      StudyDesignFilter, SymptomModelParams, TestingPolicy,
                      TransmissionMode, UnitConfig, WindowAnchor, analyze_unit,
-                     apply_policy, run_cohort, simulate_unit)
+                     apply_policy, mc, run_cohort, simulate_unit)
 from sarbias.harness import (_assign, run_scenario, scheduled_reference,
                              spawn_rng,
                              symptom_reference)
@@ -62,6 +62,20 @@ def scenario_configs(draw, rng_free=False):
         horizon_days=draw(st.sampled_from([60.0, 20.0, 7.5])))
     return ScenarioConfig(unit=unit, policy=policy, design=draw(study_designs()),
                           index_rule=draw(st.sampled_from(INDEX_RULES)))
+
+
+class _PoisonedScratch(_Scratch):
+    """Scratch whose every temp comes filled with poison: NaN for floats,
+    True for bools, the largest value for integers. As all temps of a dtype
+    share memory, a step that reads a temp after the next temp of its dtype
+    was taken, or before it writes it, reads poison."""
+
+    def temp(self, shape, dtype=np.float64):
+        array = super().temp(shape, dtype)
+        kind = array.dtype.kind
+        array.fill(np.nan if kind == "f" else True if kind == "b"
+                   else np.iinfo(array.dtype).max)
+        return array
 
 
 def cohort_truth(truths):
@@ -136,7 +150,7 @@ class TestUnitByUnit:
         truths, expected = run_pipeline(cfg, vaccinated, 25,
                                         np.random.default_rng(seed))
         truth = cohort_truth(truths)
-        scratch = _Scratch()
+        scratch = _PoisonedScratch()
         obs = observe_cohort(truth, cfg.policy, np.random.default_rng(0),
                              scratch)
         assert (obs.reported_onset is not None) == (
@@ -271,7 +285,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         # Two chunks of one scratch, as run_cohort runs them: the second
         # writes over the first's arrays, in a smaller shape.
-        scratch = _Scratch()
+        scratch = _PoisonedScratch()
         for n in (200, 137):
             truth = simulate_cohort(cfg.unit, vaccinated, n, rng,
                                     cfg.policy.kind in SYMPTOM_KINDS, scratch)
@@ -429,17 +443,68 @@ class TestCohortStreamPinned:
 
     @pytest.mark.parametrize("name", DIGESTS)
     def test_digest(self, name):
+        assert _stream_digest(name) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_digest_with_poisoned_temps(self, name, monkeypatch):
+        """Each temp is dead before the next of its dtype is taken."""
+        monkeypatch.setattr(mc, "_Scratch", _PoisonedScratch)
+        assert _stream_digest(name) == self.DIGESTS[name]
+
+
+def _stream_digest(name):
+    """Digest of the counts of a pinned config's run over three chunks per
+    arm, from the config's own stream."""
+    configs = _pinned_configs()
+    cfg, key = configs[name], list(configs).index(name)
+    counts = run_cohort(cfg, 2 * _chunk_units(cfg) + 123, spawn_rng(2024, key))
+    digest = hashlib.sha256()
+    for arm in (True, False):
+        record = (astuple(counts.observed[arm]), astuple(counts.truth[arm]),
+                  [counts.excluded[(reason, arm)]
+                   for reason in ("no_index", "coprimary")])
+        digest.update(repr((arm, record)).encode())
+    return digest.hexdigest()
+
+
+class TestChunkFootprint:
+    """Bytes a run's scratch holds per chunk person, at most: each array
+    that dies inside its step is a temp, so the scratch holds a name only
+    for what outlives a step."""
+
+    BYTES_PER_PERSON = {
+        "symptom_reference": 62,
+        "scheduled_reference": 54,
+        "fully_observed": 46,
+        "harris_every_7": 54,
+        "lyngse_households_of_8": 61,
+        "participation": 53,
+        "shared_phase": 48,
+        "fixed_phase": 46,
+        "symptom_plus_scheduled": 83,
+        "onset_anchor": 68,
+        "community_contact_to_contact": 90,
+        "exact_hazard": 52,
+        "no_testing": 46,
+    }
+
+    @pytest.mark.parametrize("name", BYTES_PER_PERSON)
+    def test_scratch_bytes_per_person(self, name, monkeypatch):
         configs = _pinned_configs()
-        cfg, key = configs[name], list(configs).index(name)
-        counts = run_cohort(cfg, 2 * _chunk_units(cfg) + 123,
-                            spawn_rng(2024, key))
-        digest = hashlib.sha256()
-        for arm in (True, False):
-            record = (astuple(counts.observed[arm]), astuple(counts.truth[arm]),
-                      [counts.excluded[(reason, arm)]
-                       for reason in ("no_index", "coprimary")])
-            digest.update(repr((arm, record)).encode())
-        assert digest.hexdigest() == self.DIGESTS[name]
+        configs["no_testing"] = ScenarioConfig(policy=TestingPolicy.none())
+        made = []
+
+        class Recorded(_Scratch):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(mc, "_Scratch", Recorded)
+        cfg = configs[name]
+        run_cohort(cfg, 2 * _chunk_units(cfg) + 123, spawn_rng(7))
+        (scratch,) = made  # one per call
+        held = sum(memory.nbytes for memory in scratch._memory.values())
+        assert held <= self.BYTES_PER_PERSON[name] * COHORT_PERSONS
 
 
 class TestChunkAllocation:
@@ -463,15 +528,15 @@ class TestChunkAllocation:
         assert peak < COHORT_PERSONS * 8
 
     @pytest.mark.parametrize("cfg", list(_pinned_configs().values()))
-    def test_count_allocates_under_128_kib(self, cfg):
-        # Counting reads the chunk's per-unit arrays, and numpy's reductions
-        # buffer 64 KiB: one int64 copy of such an array (64 KiB at units of
-        # eight, 256 KiB at units of two) would cross the bound.
+    def test_count_allocates_under_buffer_and_half_a_unit_array(self, cfg):
+        # Counting reads the chunk's per-unit arrays, and numpy's ufuncs
+        # buffer 64 KiB where they cast: one int64 copy of such an array
+        # (8 bytes per unit) would cross the bound at every unit size.
         scratch, rng = _Scratch(), spawn_rng(7)
         _count(*_analysed_chunk(cfg, rng, scratch), scratch)
         truth, analysis = _analysed_chunk(cfg, rng, scratch)
         assert _peak_bytes(lambda: _count(truth, analysis, scratch)) < (
-            128 * 1024)
+            64 * 1024 + 4 * _chunk_units(cfg))
 
 
 def _analysed_chunk(cfg, rng, scratch):
