@@ -22,7 +22,7 @@ the truth layer (:func:`true_ve_sar`) and the cohort engine of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional
 
@@ -227,11 +227,10 @@ class ArmCounts:
     """Exact integer sums over the units of one arm.
 
     A unit with ``m`` at-risk contacts and ``a`` attributed transmissions
-    adds to n, M = sum(m), A = sum(a), sum(a^2), sum(a*m) and sum(m^2):
-    all the pooled SAR and its cluster-robust variance need.
+    adds to M = sum(m), A = sum(a), sum(a^2), sum(a*m) and sum(m^2): all
+    the pooled SAR and its cluster-robust variance need.
     """
 
-    n_units: int
     at_risk: int
     attributed: int
     attributed_sq: int
@@ -245,29 +244,21 @@ class ArmCounts:
                    n_units: Optional[int] = None) -> "ArmCounts":
         """Sums over units with ``attributed[i]`` of ``at_risk[i]`` contacts.
         A scalar ``at_risk`` is shared by ``n_units`` of the units (all, by
-        default); the others have none, nor attributed transmissions. A
-        unit without at-risk contacts adds nothing, not even to
-        ``n_units``."""
+        default); the others have none, nor attributed transmissions."""
         a = np.asarray(attributed, dtype=np.int64)
         if np.ndim(at_risk) == 0:  # the sums over a shared m are products
             m, total = int(at_risk), int(a.sum())
-            n = (a.size if n_units is None else n_units) if m else 0
-            return cls(n, n * m, total, int(np.dot(a, a)), total * m, n * m * m)
+            n = a.size if n_units is None else n_units
+            return cls(n * m, total, int(np.dot(a, a)), total * m, n * m * m)
         m = np.broadcast_to(np.asarray(at_risk, dtype=np.int64), a.shape)
         # Dot products: exact in int64, and no array per product.
-        return cls(n_units=int(np.count_nonzero(m)), at_risk=int(m.sum()),
-                   attributed=int(a.sum()), attributed_sq=int(np.dot(a, a)),
-                   attributed_at_risk=int(np.dot(a, m)),
-                   at_risk_sq=int(np.dot(m, m)))
+        return cls(int(m.sum()), int(a.sum()), int(np.dot(a, a)),
+                   int(np.dot(a, m)), int(np.dot(m, m)))
 
     def __add__(self, other: "ArmCounts") -> "ArmCounts":
         """Counts of the two sets of units pooled."""
-        return ArmCounts(self.n_units + other.n_units,
-                         self.at_risk + other.at_risk,
-                         self.attributed + other.attributed,
-                         self.attributed_sq + other.attributed_sq,
-                         self.attributed_at_risk + other.attributed_at_risk,
-                         self.at_risk_sq + other.at_risk_sq)
+        return ArmCounts(*(getattr(self, f.name) + getattr(other, f.name)
+                           for f in fields(self)))
 
     @property
     def sar(self) -> float:
@@ -284,7 +275,7 @@ class ArmCounts:
                  + n_attributed ** 2 * self.at_risk_sq) / n_at_risk ** 4)
 
 
-ArmCounts.ZERO = ArmCounts(0, 0, 0, 0, 0, 0)
+ArmCounts.ZERO = ArmCounts(0, 0, 0, 0, 0)
 
 
 class VeRatio(NamedTuple):

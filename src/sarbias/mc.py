@@ -421,11 +421,19 @@ def _count(truth: CohortTruth, analysis: CohortAnalysis,
         units &= analysed  # indexed by the primary, then by a contact
         observed = {}
         for arm in (primary, contacts):
-            observed[arm] = ArmCounts.from_units(
-                np.multiply(attributed, units, out=new.temp((n,), np.int64)),
-                at_risk if np.ndim(at_risk) == 0 else np.multiply(
-                    at_risk, units, out=new("arm_at_risk", (n,), np.int64)),
-                int(np.count_nonzero(units)))
+            # The arm's mask as int64 0s and 1s: int64 times bool would cast
+            # the mask through numpy's 64 KiB ufunc buffer.
+            arm_attributed = new.temp((n,), np.int64)
+            np.copyto(arm_attributed, units)
+            arm_at_risk, arm_units = at_risk, None
+            if np.ndim(at_risk) == 0:  # shared by the arm's units
+                arm_units = int(np.count_nonzero(units))
+            else:
+                arm_at_risk = np.multiply(at_risk, arm_attributed,
+                                          out=new("arm_at_risk", (n,), np.int64))
+            arm_attributed *= attributed
+            observed[arm] = ArmCounts.from_units(arm_attributed, arm_at_risk,
+                                                 arm_units)
             np.logical_xor(units, analysed, out=units)
     primary_sourced = _per_unit(truth.primary_sourced,
                                 new.temp((n,), np.int64), new)

@@ -154,8 +154,11 @@ class ObservedUnit(NamedTuple):
 
     ``records`` builds the underlying records sorted by time, then person,
     and ``tests`` calls it on each access: a debug view that
-    :func:`apply_policy` never builds. :meth:`from_records` builds a unit
-    by hand from its records.
+    :func:`apply_policy`, whose summary costs the same at any interval,
+    never builds. It lists one record per scheduled slot per participant,
+    2.4 million for a unit of four tested every 1e-4 days and too many to
+    finish near the smallest interval a policy accepts. :meth:`from_records`
+    builds a unit by hand from its records.
     """
 
     vaccinated: tuple[bool, ...]

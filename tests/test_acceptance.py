@@ -213,7 +213,7 @@ def test_criterion_09_filter_semantics():
 
 
 def test_criterion_10_fully_observed_equivalence():
-    fo = mc_fully_observed_naive(D, 1.0, UNITS, spawn_rng(SEED, 10))
+    fo = mc_fully_observed_naive(D, UNITS, spawn_rng(SEED, 10))
     naive, truth = fo.observed_ratio(), fo.true_ratio()
     difference = naive.ve - truth.ve
     z = abs(difference) / naive.se

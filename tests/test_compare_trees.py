@@ -43,3 +43,11 @@ def test_a_difference_is_reported_with_its_diff(tmp_path):
     lines = out.getvalue().splitlines()
     assert lines[0] == "different  demo d.py"
     assert "-other" in lines and "+mine" in lines
+
+
+def test_src_lines_counts_every_python_file_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("\n\nz = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not code\n")
+    assert compare_trees.src_lines(tmp_path) == 5

@@ -118,7 +118,7 @@ class TestDetectionBridge:
 @pytest.mark.parametrize("oracle", [
     lambda n, rng: mc_infrequent_observed(D, 10.0, n, rng),
     lambda n, rng: mc_symptom_prompted_ve(S, D, n, rng),
-    lambda n, rng: mc_fully_observed_naive(D, 1.0, n, rng)],
+    lambda n, rng: mc_fully_observed_naive(D, n, rng)],
     ids=["scheduled", "symptom", "fully-observed"])
 def test_run_cohort_peak_does_not_grow_with_units(oracle):
     # A call's chunks share one set of arrays, so one or two chunks per arm
@@ -210,7 +210,7 @@ class TestSymptomOracle:
 
 class TestFullyObservedNaive:
     def test_shared_phase_is_exact(self):
-        fo = mc_fully_observed_naive(D, 1.0, 200_000, np.random.default_rng(40))
+        fo = mc_fully_observed_naive(D, 200_000, np.random.default_rng(40))
         assert sum(fo.excluded.values()) == 0
         difference = fo.observed_ratio().ve - fo.true_ratio().ve
         assert difference == pytest.approx(0.0, abs=1e-15)

@@ -1,12 +1,19 @@
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sarbias import (Infection, ParameterError, SourceKind, SymptomModelParams, TestingPolicy, UnitConfig,
-                     apply_policy, sampling_fraction, simulate_unit)
+from sarbias import (Infection, ParameterError, ScenarioConfig, SourceKind,
+                     SymptomModelParams, TestingPolicy, UnitConfig,
+                     apply_policy, run_cohort, sampling_fraction, simulate_unit)
+from sarbias.harness import spawn_rng
 from sarbias.observe import (SCHEDULED_KINDS, SYMPTOM_KINDS, ObservedUnit,
                              PolicyKind)
 from sarbias.simcore import UnitTruth
@@ -77,6 +84,48 @@ class TestPolicyValidation:
         interval = 7.0 if kind is PolicyKind.SCHEDULED else None
         with pytest.raises(ParameterError, match="delay_days = 3"):
             TestingPolicy(kind=kind, interval_days=interval, delay_days=3.0)
+
+
+def _unread(unit):
+    raise AssertionError("ObservedUnit.tests read")
+
+
+class TestSmallestInterval:
+    """Both paths on households of four tested at the smallest interval a
+    policy accepts, horizon / 2^53 days: a unit's summary costs what it
+    costs at any interval, while its record listing, one record per slot,
+    would never finish, so neither path may read ``ObservedUnit.tests``."""
+
+    INTERVAL = 60.0 / 2.0 ** 53
+
+    def test_simulate(self, tmp_path):
+        # In a child process, so a hang fails the test by its timeout.
+        config, out = tmp_path / "scenario.cfg", tmp_path / "rows.csv"
+        config.write_text("scenario.seed = 1\nscenario.units_per_arm = 200\n"
+                          "unit.size = 4\npolicy.kind = scheduled\n"
+                          f"policy.interval_days = {self.INTERVAL!r}\n")
+        script = ("import sys\nfrom sarbias import cli, observe\n"
+                  "def unread(unit):\n"
+                  "    raise AssertionError('ObservedUnit.tests read')\n"
+                  "observe.ObservedUnit.tests = property(unread)\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--config", str(config),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        with out.open(newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert math.isfinite(float(row["actual_ve_mc"]))
+
+    def test_run_cohort(self, monkeypatch):
+        monkeypatch.setattr(ObservedUnit, "tests", property(_unread))
+        cfg = ScenarioConfig(unit=UnitConfig(unit_size=4),
+                             policy=TestingPolicy.scheduled(self.INTERVAL))
+        counts = run_cohort(cfg, 20_000, spawn_rng(1))
+        assert math.isfinite(counts.observed_ratio().ve)
 
 
 class TestNoAndSymptomTesting:

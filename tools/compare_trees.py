@@ -17,8 +17,8 @@ Carlo columns, the seven ``analytic`` forms at their defaults, and every
 script under ``demos/``.
 
 Prints one ``identical`` or ``different`` line per command, followed by a
-unified diff of any difference, and exits 0 only when every output is
-identical.
+unified diff of any difference, then each tree's ``src/`` line count, and
+exits 0 only when every output is identical.
 """
 
 from __future__ import annotations
@@ -139,13 +139,22 @@ def compare(parent: Path, change: Path, commands: list[Command],
     return same
 
 
+def src_lines(root: Path) -> int:
+    """Lines of the Python files under the tree's ``src``, as ``wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src").rglob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent tree")
     parser.add_argument("change", type=Path, help="root of the changed tree")
     args = parser.parse_args(argv)
-    ok = compare(args.parent.resolve(), args.change.resolve(),
-                 default_commands())
+    parent, change = args.parent.resolve(), args.change.resolve()
+    ok = compare(parent, change, default_commands())
+    for label, root in (("parent", parent), ("change", change)):
+        print(f"src lines  {label} {src_lines(root)}")
     return 0 if ok else 1
 
 
